@@ -29,6 +29,14 @@
 //! [`LoopOutcome::events`] carries its auditable event log (timestamps on
 //! the machine-global clock).
 //!
+//! Rates: every event calls the same dirty-set refresh as the single-loop
+//! engine ([`CongestionField::refresh`]) over all lanes' workers in lane
+//! order. Each core's occupancy and each node's fault-plan slowdown are
+//! inputs to it; a chunk is repriced when it is fresh, when its core's
+//! occupancy or its node's slowdown changed, or when a congestion factor it
+//! reads changed. Every other chunk keeps its rate, which is bit-identical
+//! to recomputing it.
+//!
 //! Determinism: lanes are iterated in index order at every event, so a given
 //! machine seed and call sequence replays exactly.
 //!
@@ -49,7 +57,7 @@ use crate::exec::{begin_chunk, make_workers, seek, PoolSet, Worker, WorkerState,
 use crate::outcome::{LoopOutcome, NodeOutcome};
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{chunk_duration, CongestionField};
+use crate::rates::{CongestionField, Crews, Pricing};
 use crate::task::TaskSpec;
 use ilan_faults::FaultPlan;
 use ilan_topology::{CpuSet, NodeId, Topology};
@@ -86,6 +94,31 @@ impl LaneRun {
     }
 }
 
+impl Crews for [Option<LaneRun>] {
+    fn each(&mut self, mut f: impl FnMut(&mut Worker)) {
+        for lane in self.iter_mut().flatten() {
+            lane.workers.iter_mut().for_each(&mut f);
+        }
+    }
+}
+
+/// Cores shared by the lanes' running chunks, on nodes the fault plan may
+/// slow down.
+struct Timeshare<'a> {
+    core_load: &'a [usize],
+    node_slowdown: &'a [f64],
+}
+
+impl Pricing for Timeshare<'_> {
+    fn occupancy(&self, core: usize) -> f64 {
+        self.core_load[core].max(1) as f64
+    }
+
+    fn slowdown(&self, node: usize) -> f64 {
+        self.node_slowdown[node]
+    }
+}
+
 /// A simulated NUMA machine shared by several concurrent taskloops.
 ///
 /// Lanes are created up front with [`add_lane`](Self::add_lane); a lane runs
@@ -102,6 +135,8 @@ pub struct ColoMachine {
     field: CongestionField,
     /// Scratch: number of running chunks per core, across all lanes.
     core_load: Vec<usize>,
+    /// Per-node chunk-duration multiplier of the fault plan (1 = healthy).
+    node_slowdown: Vec<f64>,
     finished: VecDeque<(usize, LoopOutcome)>,
     /// Whether loops started from now on record scheduler events.
     tracing: bool,
@@ -132,6 +167,7 @@ impl ColoMachine {
             lanes: Vec::new(),
             field: CongestionField::new(num_nodes, num_sockets),
             core_load: vec![0; num_cores],
+            node_slowdown: vec![1.0; num_nodes],
             finished: VecDeque::new(),
             tracing: false,
             faults: None,
@@ -161,6 +197,9 @@ impl ColoMachine {
             !plan.has_permanent_stall(),
             "permanent stalls are out of simulation scope (draw plans with FaultConfig::sim_safe)"
         );
+        for (node, slow) in self.node_slowdown.iter_mut().enumerate() {
+            *slow = plan.node_slowdown(node as u32);
+        }
         self.faults = Some(plan);
     }
 
@@ -367,12 +406,11 @@ impl ColoMachine {
                 }
             }
 
-            self.recompute_rates();
-
-            // Next event over all lanes: a lead or barrier expiring, a
-            // scheduling action finishing, or a chunk completing — capped by
-            // the caller's deadline.
-            let mut dt = t_end - self.now_ns;
+            // Reprice what changed; the next event over all lanes is the
+            // earliest of a scheduling action finishing or a chunk
+            // completing, a lead, barrier or stall expiring, and the
+            // caller's deadline.
+            let mut dt = (t_end - self.now_ns).min(self.refresh_rates());
             for lane in self.lanes.iter().flatten() {
                 if lane.lead_remaining_ns > 0.0 {
                     dt = dt.min(lane.lead_remaining_ns);
@@ -385,16 +423,7 @@ impl ColoMachine {
                 for w in &lane.workers {
                     if w.stall_until_ns > self.now_ns + EPS {
                         dt = dt.min(w.stall_until_ns - self.now_ns);
-                        continue;
                     }
-                    let t = match &w.state {
-                        WorkerState::Overhead { remaining_ns, .. } => *remaining_ns,
-                        WorkerState::Running {
-                            remaining, rate, ..
-                        } if *rate > 0.0 => remaining / rate,
-                        _ => f64::INFINITY,
-                    };
-                    dt = dt.min(t);
                 }
             }
             assert!(
@@ -414,9 +443,10 @@ impl ColoMachine {
         }
     }
 
-    /// Recomputes core occupancy, the shared congestion field, and every
-    /// running chunk's rate across all lanes.
-    fn recompute_rates(&mut self) {
+    /// Recomputes core occupancy, then refreshes the shared congestion field
+    /// and the rates of every lane's running chunks. Returns the smallest
+    /// time-to-completion over all busy workers.
+    fn refresh_rates(&mut self) -> f64 {
         self.core_load.iter_mut().for_each(|c| *c = 0);
         for lane in self.lanes.iter().flatten() {
             if lane.lead_remaining_ns > 0.0 {
@@ -428,66 +458,12 @@ impl ColoMachine {
                 }
             }
         }
-
-        let topo = &self.params.topology;
-        self.field.clear();
-        for lane in self.lanes.iter().flatten() {
-            for w in &lane.workers {
-                if let WorkerState::Running {
-                    task,
-                    traffic,
-                    desired_bw,
-                    ..
-                } = &w.state
-                {
-                    let occ = self.core_load[w.core.index()].max(1) as f64;
-                    self.field.add_flow(
-                        topo,
-                        &lane.tasks[*task],
-                        w.node,
-                        traffic,
-                        *desired_bw,
-                        1.0 / occ,
-                    );
-                }
-            }
-        }
-        self.field.finalize(&self.params);
-
-        for lane in self.lanes.iter_mut().flatten() {
-            for w in &mut lane.workers {
-                let wnode = w.node;
-                let core = w.core.index();
-                if let WorkerState::Running {
-                    task,
-                    rate,
-                    traffic,
-                    ..
-                } = &mut w.state
-                {
-                    let spec = &lane.tasks[*task];
-                    let penalty = self.field.penalty(topo, wnode, traffic);
-                    let occ = self.core_load[core].max(1) as f64;
-                    let slowdown = self
-                        .faults
-                        .as_ref()
-                        .map_or(1.0, |p| p.node_slowdown(wnode as u32));
-                    let duration = chunk_duration(
-                        &self.params,
-                        spec,
-                        NodeId::new(wnode),
-                        self.freqs[core],
-                        penalty,
-                    ) * occ
-                        * slowdown;
-                    *rate = if duration > 0.0 {
-                        1.0 / duration
-                    } else {
-                        f64::INFINITY
-                    };
-                }
-            }
-        }
+        let pricing = Timeshare {
+            core_load: &self.core_load,
+            node_slowdown: &self.node_slowdown,
+        };
+        self.field
+            .refresh(&self.params, &mut self.lanes[..], &pricing)
     }
 
     /// Advances simulated time by `dt`, completing whatever finishes.
@@ -541,13 +517,8 @@ impl ColoMachine {
                                     EventKind::ChunkStart { chunk: t as u32 },
                                 );
                             }
-                            w.state = begin_chunk(
-                                &self.params.topology,
-                                &self.params,
-                                w.node,
-                                t,
-                                &lane.tasks[t],
-                            );
+                            let freq = self.freqs[w.core.index()];
+                            begin_chunk(w, &self.params, freq, t, &lane.tasks[t]);
                         }
                     }
                     WorkerState::Running {

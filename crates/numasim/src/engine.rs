@@ -3,9 +3,13 @@
 //! Between events every running chunk progresses linearly at a rate computed
 //! from the machine state; an event is a chunk completing, a worker finishing
 //! a scheduling action, or the pool state changing. On each event the engine
-//! recomputes all rates (memory-controller and inter-socket-link congestion
-//! are global state), so contention is always consistent with the set of
-//! running chunks.
+//! refreshes the shared congestion field (memory-controller and
+//! inter-socket-link congestion are global state), so contention is always
+//! consistent with the set of running chunks. The refresh is a dirty-set
+//! update ([`CongestionField::refresh`]): demand is re-aggregated in full,
+//! but only chunks that just started or that read a congestion factor that
+//! changed are repriced, and the same pass yields the time to the next
+//! event. Outputs are bit-identical to repricing every chunk.
 //!
 //! The engine is fully deterministic: worker iteration order, victim
 //! selection and tie-breaking are all fixed. Run-to-run variance enters only
@@ -20,7 +24,7 @@ use crate::exec::{begin_chunk, make_workers, seek, PoolSet, Worker, WorkerState,
 use crate::outcome::{LoopOutcome, NodeOutcome, TaskRecord};
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{chunk_duration, CongestionField};
+use crate::rates::{CongestionField, Pricing};
 use crate::task::TaskSpec;
 use ilan_topology::{CpuSet, NodeId};
 use ilan_trace::{EventKind, Recorder};
@@ -38,7 +42,7 @@ pub(crate) struct Engine<'a> {
     overhead_ns: f64,
     nodes_out: Vec<NodeOutcome>,
     migrations: usize,
-    /// Shared congestion state, recomputed at every event.
+    /// Shared congestion state, refreshed at every event.
     field: CongestionField,
     /// Per-invocation randomness for flat-mode victim selection.
     rng_state: u64,
@@ -46,6 +50,23 @@ pub(crate) struct Engine<'a> {
     trace: Option<Vec<TaskRecord>>,
     /// Scheduler event recorder (present only for traced runs).
     recorder: Option<Recorder>,
+}
+
+/// Dedicated, healthy cores, except that chunks on an outlier window's node
+/// run at the window's speed factor.
+struct Outlier {
+    node: Option<usize>,
+    speed: f64,
+}
+
+impl Pricing for Outlier {
+    fn speed(&self, node: usize) -> f64 {
+        if self.node == Some(node) {
+            self.speed
+        } else {
+            1.0
+        }
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -99,6 +120,10 @@ impl<'a> Engine<'a> {
         let dispatch = self.pools.dispatch_ns(self.params, self.tasks.len());
         self.now += dispatch;
         self.overhead_ns += dispatch;
+        let pricing = Outlier {
+            node: self.outlier_node,
+            speed: self.params.noise.outlier_factor,
+        };
 
         loop {
             // Let every idle worker acquire work. Acquisitions can wake parked
@@ -127,20 +152,11 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            self.recompute_rates();
-
-            // Next event: smallest time-to-completion across busy workers.
-            let mut dt = f64::INFINITY;
-            for w in &self.workers {
-                let t = match &w.state {
-                    WorkerState::Overhead { remaining_ns, .. } => *remaining_ns,
-                    WorkerState::Running {
-                        remaining, rate, ..
-                    } if *rate > 0.0 => remaining / rate,
-                    _ => f64::INFINITY,
-                };
-                dt = dt.min(t);
-            }
+            // Reprice what changed and find the next event: the smallest
+            // time-to-completion across busy workers.
+            let dt = self
+                .field
+                .refresh(self.params, &mut self.workers[..], &pricing);
 
             if !dt.is_finite() {
                 // No busy workers left: either done, or the plan stranded
@@ -196,61 +212,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Recomputes demands, congestion factors and every running chunk's rate.
-    fn recompute_rates(&mut self) {
-        let topo = &self.params.topology;
-        self.field.clear();
-
-        // Pass 1: aggregate desired bandwidth per memory controller and link,
-        // plus the streaming-flow count per controller (row-buffer model).
-        for w in &self.workers {
-            if let WorkerState::Running {
-                task,
-                traffic,
-                desired_bw,
-                ..
-            } = &w.state
-            {
-                self.field
-                    .add_flow(topo, &self.tasks[*task], w.node, traffic, *desired_bw, 1.0);
-            }
-        }
-
-        // Pass 2: congestion factor per resource.
-        self.field.finalize(self.params);
-
-        // Pass 3: per-chunk rates.
-        for w in &mut self.workers {
-            let wnode = w.node;
-            let core = w.core.index();
-            if let WorkerState::Running {
-                task,
-                rate,
-                traffic,
-                ..
-            } = &mut w.state
-            {
-                let spec = &self.tasks[*task];
-                let penalty = self.field.penalty(topo, wnode, traffic);
-                let mut duration = chunk_duration(
-                    self.params,
-                    spec,
-                    NodeId::new(wnode),
-                    self.freqs[core],
-                    penalty,
-                );
-                if Some(wnode) == self.outlier_node {
-                    duration /= self.params.noise.outlier_factor;
-                }
-                *rate = if duration > 0.0 {
-                    1.0 / duration
-                } else {
-                    f64::INFINITY
-                };
-            }
-        }
-    }
-
     /// Advances simulated time by `dt`, completing whatever finishes.
     fn advance(&mut self, dt: f64) {
         self.now += dt;
@@ -270,13 +231,8 @@ impl<'a> Engine<'a> {
                                 EventKind::ChunkStart { chunk: t as u32 },
                             );
                         }
-                        w.state = begin_chunk(
-                            &self.params.topology,
-                            self.params,
-                            w.node,
-                            t,
-                            &self.tasks[t],
-                        );
+                        let freq = self.freqs[w.core.index()];
+                        begin_chunk(w, self.params, freq, t, &self.tasks[t]);
                     }
                 }
                 WorkerState::Running {

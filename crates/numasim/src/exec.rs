@@ -9,7 +9,7 @@
 
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{desired_bandwidth, traffic_rows};
+use crate::rates::Flow;
 use crate::task::TaskSpec;
 use ilan_topology::{CoreId, CpuSet, Topology};
 use ilan_trace::{EventKind, Recorder, DISPATCHER};
@@ -183,23 +183,20 @@ impl PoolSet {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum WorkerState {
     /// Needs to acquire work at the current time.
     Idle,
     /// Performing a scheduling action (pop / steal), then starts `next`.
     Overhead { remaining_ns: f64, next: usize },
-    /// Executing chunk `task`.
+    /// Executing chunk `task`, whose flow is loaded in the worker's
+    /// [`Flow`].
     Running {
         task: usize,
         /// Fraction of the chunk still to execute, in `[0, 1]`.
         remaining: f64,
         /// Progress per ns under the current machine state.
         rate: f64,
-        /// Precomputed `(node, traffic_fraction, latency_factor)` rows.
-        traffic: Vec<(usize, f64, f64)>,
-        /// Desired DRAM bandwidth if uncontended, bytes/ns.
-        desired_bw: f64,
         /// Wall time spent on this chunk so far.
         elapsed_ns: f64,
     },
@@ -220,6 +217,8 @@ pub(crate) struct Worker {
     /// the acquire loop (0 = healthy). Time still advances past a stalled
     /// worker — it just does not pop or steal until the stall expires.
     pub(crate) stall_until_ns: f64,
+    /// The running chunk's precomputed flow (buffer reused across chunks).
+    pub(crate) flow: Flow,
 }
 
 /// Builds one worker per active core, plus the per-node worker census.
@@ -240,6 +239,7 @@ pub(crate) fn make_workers(topo: &Topology, active: &CpuSet) -> (Vec<Worker>, Ve
                 node: topo.node_of_core(core).index(),
                 state: WorkerState::Idle,
                 stall_until_ns: 0.0,
+                flow: Flow::new(topo.num_nodes()),
             }
         })
         .collect();
@@ -401,22 +401,21 @@ pub(crate) fn seek(
     }
 }
 
-/// The Overhead → Running transition: precomputes the chunk's traffic rows
-/// and uncontended bandwidth demand for the node it will execute on.
+/// The Overhead → Running transition: loads chunk `task` into the worker's
+/// flow (traffic rows, uncontended demand and duration terms for the node
+/// it executes on and its core's frequency factor `freq`).
 pub(crate) fn begin_chunk(
-    topo: &Topology,
+    w: &mut Worker,
     params: &MachineParams,
-    exec_node: usize,
+    freq: f64,
     task: usize,
     spec: &TaskSpec,
-) -> WorkerState {
-    let exec = ilan_topology::NodeId::new(exec_node);
-    WorkerState::Running {
+) {
+    w.flow.start(params, spec, w.node, freq);
+    w.state = WorkerState::Running {
         task,
         remaining: 1.0,
         rate: 0.0,
-        traffic: traffic_rows(topo, spec, exec),
-        desired_bw: desired_bandwidth(spec, exec, params.core_bw),
         elapsed_ns: 0.0,
-    }
+    };
 }

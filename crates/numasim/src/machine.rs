@@ -101,6 +101,31 @@ impl SimMachine {
         plan: &PlacementPlan,
         tasks: &[TaskSpec],
     ) -> LoopOutcome {
+        self.run(active, plan, tasks, false)
+    }
+
+    /// Like [`run_taskloop`](Self::run_taskloop), additionally collecting a
+    /// per-chunk execution trace (see [`LoopOutcome::trace`] and
+    /// [`LoopOutcome::gantt`]) and the scheduler event log
+    /// ([`LoopOutcome::events`]) consumed by `ilan-trace`'s auditor and
+    /// Chrome-trace exporter. Tracing allocates per chunk, so it is off by
+    /// default.
+    pub fn run_taskloop_traced(
+        &mut self,
+        active: &CpuSet,
+        plan: &PlacementPlan,
+        tasks: &[TaskSpec],
+    ) -> LoopOutcome {
+        self.run(active, plan, tasks, true)
+    }
+
+    fn run(
+        &mut self,
+        active: &CpuSet,
+        plan: &PlacementPlan,
+        tasks: &[TaskSpec],
+        traced: bool,
+    ) -> LoopOutcome {
         for t in tasks {
             debug_assert!({
                 t.validate();
@@ -124,42 +149,7 @@ impl SimMachine {
             active,
             plan,
             tasks,
-            false,
-        );
-        let outcome = engine.run();
-        self.now_ns += outcome.makespan_ns;
-        if let Some(m) = &self.metrics {
-            m.record_outcome(&outcome);
-        }
-        outcome
-    }
-
-    /// Like [`run_taskloop`](Self::run_taskloop), additionally collecting a
-    /// per-chunk execution trace (see [`LoopOutcome::trace`] and
-    /// [`LoopOutcome::gantt`]) and the scheduler event log
-    /// ([`LoopOutcome::events`]) consumed by `ilan-trace`'s auditor and
-    /// Chrome-trace exporter. Tracing allocates per chunk, so it is off by
-    /// default.
-    pub fn run_taskloop_traced(
-        &mut self,
-        active: &CpuSet,
-        plan: &PlacementPlan,
-        tasks: &[TaskSpec],
-    ) -> LoopOutcome {
-        let outlier = self
-            .params
-            .noise
-            .draw_outlier(&mut self.rng, self.params.topology.num_nodes());
-        let perm_seed: u64 = rand::Rng::random(&mut self.rng);
-        let engine = Engine::new(
-            &self.params,
-            &self.freqs,
-            outlier,
-            perm_seed,
-            active,
-            plan,
-            tasks,
-            true,
+            traced,
         );
         let outcome = engine.run();
         self.now_ns += outcome.makespan_ns;
@@ -334,6 +324,19 @@ mod tests {
         let bare = run(None);
         assert_eq!(bare.makespan_ns, outcome.makespan_ns);
         assert_eq!(bare.migrations, outcome.migrations);
+    }
+
+    /// The traced entry point checks its tasks like the untraced one.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "home node outside topology")]
+    fn traced_run_validates_tasks() {
+        let topo = presets::tiny_2x4();
+        let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
+        let mut bad = tasks(4);
+        bad[0].home_node = NodeId::new(5);
+        m.run_taskloop_traced(&cores, &PlacementPlan::flat(), &bad);
     }
 
     #[test]

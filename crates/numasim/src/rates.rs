@@ -1,51 +1,164 @@
-//! The shared cost model: traffic shaping, congestion and chunk durations.
+//! The shared cost model: traffic shaping, congestion and chunk rates.
 //!
 //! Every engine in this crate prices a running chunk the same way:
 //!
-//! 1. its DRAM traffic is split into per-node rows `(node, fraction,
-//!    latency_factor)` from the task's [`Locality`](crate::Locality);
-//! 2. all concurrently running chunks' desired bandwidths are aggregated
+//! 1. when the chunk starts, its DRAM traffic is split into per-node
+//!    [`FlowRow`]s from the task's [`Locality`](crate::Locality), and
+//!    everything about the chunk that does not depend on the rest of the
+//!    machine is precomputed into the worker's reusable [`Flow`];
+//! 2. on every event, all running chunks' desired bandwidths are aggregated
 //!    into a [`CongestionField`] (per-controller demand, per-socket-pair
-//!    link demand, per-controller streaming-flow count);
+//!    link demand, per-controller streaming-flow count) and turned into
+//!    congestion factors;
 //! 3. each chunk's memory time is inflated by the field's congestion
 //!    factors along its traffic rows.
 //!
-//! Keeping these three steps here means the single-loop engine and the
-//! multi-lane colocation engine by construction share one interference
-//! channel — a chunk slows down identically whether its competitor belongs
-//! to the same taskloop or to another tenant's.
+//! Steps 2 and 3 are one routine, [`CongestionField::refresh`], called by
+//! both the single-loop engine and the multi-lane colocation engine. They
+//! therefore share one interference channel by construction — a chunk slows
+//! down identically whether its competitor belongs to the same taskloop or
+//! to another tenant's.
+//!
+//! The refresh is a *dirty-set* update. Demand is re-aggregated in worker
+//! order on every event, so each floating-point sum is formed exactly as a
+//! full recomputation would form it. But a chunk's rate is recomputed only
+//! if the chunk is fresh, its own pricing inputs (core occupancy, node
+//! slowdown) changed, or one of the congestion factors its rows read changed
+//! bit for bit. Every other chunk would recompute the same bits, so it keeps
+//! its rate; debug builds recompute it anyway and assert exactly that.
 
+use crate::exec::{Worker, WorkerState};
 use crate::params::MachineParams;
-use crate::task::TaskSpec;
-use ilan_topology::{NodeId, Topology};
+use crate::task::{Locality, TaskSpec};
+use ilan_topology::NodeId;
 
-/// Builds the per-node traffic rows `(node, fraction, latency_factor)` for a
-/// chunk executing on `exec_node`. The latency factor damps the topology
-/// distance by the access pattern's latency sensitivity (prefetchers hide
-/// part of the latency for streaming access).
-pub(crate) fn traffic_rows(
-    topo: &Topology,
-    spec: &TaskSpec,
-    exec_node: NodeId,
-) -> Vec<(usize, f64, f64)> {
-    let sens = spec.locality.latency_sensitivity();
-    let mut traffic = Vec::with_capacity(4);
-    for k in 0..topo.num_nodes() {
-        let frac = spec
-            .locality
-            .traffic_fraction(spec.home_node, spec.data_mask, NodeId::new(k));
-        if frac > 0.0 {
-            let lat =
-                1.0 + sens * (topo.distances().latency_factor(exec_node, NodeId::new(k)) - 1.0);
-            traffic.push((k, frac, lat));
+/// One precomputed traffic row of a running chunk.
+#[derive(Clone, Copy, Debug)]
+struct FlowRow {
+    /// The memory controller (node) the row's traffic targets.
+    node: u32,
+    /// The socket-pair link the row crosses (`a·sockets + b`, `a < b`), or
+    /// [`NO_LINK`] if the target node sits on the chunk's own socket.
+    link: u32,
+    /// Uncontended demand of the row, `desired_bw · fraction` (bytes/ns).
+    bw: f64,
+    /// Latency-weighted traffic share, `fraction · latency_factor`. The
+    /// latency factor damps the topology distance by the access pattern's
+    /// latency sensitivity (prefetchers hide part of the latency for
+    /// streaming access).
+    weight: f64,
+}
+
+/// [`FlowRow::link`] of a row that stays on its socket.
+const NO_LINK: u32 = u32::MAX;
+
+/// A running chunk's flow: its traffic rows and the machine-independent
+/// terms of its duration, filled once when the chunk starts. Each worker
+/// owns one, sized for the machine's node count up front, and reuses it
+/// across chunks, so starting a chunk does not allocate.
+#[derive(Debug)]
+pub(crate) struct Flow {
+    rows: Vec<FlowRow>,
+    /// Node whose controller counts this chunk as a streaming flow.
+    stream_node: usize,
+    /// Row-buffer weight of the stream (1 for streaming access, less for
+    /// scattered gathers).
+    stream_weight: f64,
+    /// Compute time on this core, `compute_ns / freq`.
+    compute_ns: f64,
+    /// Uncontended memory time, `effective_bytes / core_bw`.
+    mem_ns: f64,
+    /// Nodes the rows read, one bit per node (mod 64).
+    node_reads: u64,
+    /// Links the rows read, one bit per link index (mod 64).
+    link_reads: u64,
+    /// Whether the chunk still needs its first rate.
+    fresh: bool,
+    /// Occupancy and slowdown the current rate was priced at.
+    occupancy: f64,
+    slowdown: f64,
+}
+
+/// The bit standing for resource `index` in a 64-bit read set. Indices are
+/// folded, so two resources may share a bit; that only ever reprices a chunk
+/// needlessly, never skips one.
+fn bit(index: usize) -> u64 {
+    1 << (index % 64)
+}
+
+impl Flow {
+    /// An empty flow with room for one row per node.
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        Flow {
+            rows: Vec::with_capacity(num_nodes),
+            stream_node: 0,
+            stream_weight: 0.0,
+            compute_ns: 0.0,
+            mem_ns: 0.0,
+            node_reads: 0,
+            link_reads: 0,
+            fresh: true,
+            occupancy: 1.0,
+            slowdown: 1.0,
         }
     }
-    traffic
+
+    /// Loads chunk `spec`, about to execute on `exec_node` with a core at
+    /// frequency factor `freq`.
+    pub(crate) fn start(
+        &mut self,
+        params: &MachineParams,
+        spec: &TaskSpec,
+        exec_node: usize,
+        freq: f64,
+    ) {
+        let topo = &params.topology;
+        let exec = NodeId::new(exec_node);
+        let desired_bw = desired_bandwidth(spec, exec, params.core_bw);
+        let sens = spec.locality.latency_sensitivity();
+        let sockets = topo.num_sockets();
+        let s_from = topo.socket_of_node(exec).index();
+        self.rows.clear();
+        self.node_reads = 0;
+        self.link_reads = 0;
+        for k in 0..topo.num_nodes() {
+            let node = NodeId::new(k);
+            let frac = spec
+                .locality
+                .traffic_fraction(spec.home_node, spec.data_mask, node);
+            if frac > 0.0 {
+                let lat = 1.0 + sens * (topo.distances().latency_factor(exec, node) - 1.0);
+                let s_to = topo.socket_of_node(node).index();
+                self.node_reads |= bit(k);
+                let link = if s_from == s_to {
+                    NO_LINK
+                } else {
+                    let l = s_from.min(s_to) * sockets + s_from.max(s_to);
+                    self.link_reads |= bit(l);
+                    l as u32
+                };
+                self.rows.push(FlowRow {
+                    node: k as u32,
+                    link,
+                    bw: desired_bw * frac,
+                    weight: frac * lat,
+                });
+            }
+        }
+        self.stream_node = spec.home_node.index();
+        self.stream_weight = match spec.locality {
+            Locality::Chunked => 1.0,
+            Locality::Scattered { spread } => 1.0 - spread,
+        };
+        self.compute_ns = spec.compute_ns / freq;
+        self.mem_ns = spec.effective_bytes(exec) / params.core_bw;
+        self.fresh = true;
+    }
 }
 
 /// The chunk's uncontended DRAM bandwidth demand in bytes/ns: its effective
 /// bytes streamed over its ideal duration.
-pub(crate) fn desired_bandwidth(spec: &TaskSpec, exec_node: NodeId, core_bw: f64) -> f64 {
+fn desired_bandwidth(spec: &TaskSpec, exec_node: NodeId, core_bw: f64) -> f64 {
     let ideal = spec.ideal_ns(core_bw);
     if ideal > 0.0 {
         spec.effective_bytes(exec_node) / ideal
@@ -54,12 +167,49 @@ pub(crate) fn desired_bandwidth(spec: &TaskSpec, exec_node: NodeId, core_bw: f64
     }
 }
 
+/// The worker sets one refresh prices, visited in a fixed order: a single
+/// loop's workers, or every in-flight lane's workers in lane order.
+pub(crate) trait Crews {
+    /// Calls `f` on every worker, always in the same order.
+    fn each(&mut self, f: impl FnMut(&mut Worker));
+}
+
+impl Crews for [Worker] {
+    fn each(&mut self, f: impl FnMut(&mut Worker)) {
+        self.iter_mut().for_each(f);
+    }
+}
+
+/// Per-worker inputs of a chunk's duration that come from the engine rather
+/// than from the congestion field. The defaults describe a healthy machine
+/// with dedicated cores.
+pub(crate) trait Pricing {
+    /// Running chunks on `core`. A chunk on a core with occupancy `n`
+    /// timeshares it: it progresses at `1/n` of its rate and issues `1/n` of
+    /// its traffic.
+    fn occupancy(&self, _core: usize) -> f64 {
+        1.0
+    }
+
+    /// Multiplier stretching every chunk executing on `node` (slow nodes
+    /// under fault injection).
+    fn slowdown(&self, _node: usize) -> f64 {
+        1.0
+    }
+
+    /// Speed factor dividing the duration of every chunk executing on
+    /// `node` (an outlier window).
+    fn speed(&self, _node: usize) -> f64 {
+        1.0
+    }
+}
+
 /// Aggregated bandwidth demand and the congestion factors derived from it.
 ///
-/// Usage per event: [`clear`](Self::clear), one [`add_flow`](Self::add_flow)
-/// per running chunk (across *all* loops sharing the machine), then
-/// [`finalize`](Self::finalize); afterwards [`penalty`](Self::penalty) prices
-/// any chunk's traffic against the field.
+/// Usage per event: [`refresh`](Self::refresh) with every running chunk on
+/// the machine (across *all* loops sharing it). It re-aggregates demand,
+/// finalizes the factors, reprices the chunks whose inputs changed and
+/// returns the time to the next chunk or scheduling-action completion.
 pub(crate) struct CongestionField {
     /// Per-node DRAM demand, bytes/ns.
     demand: Vec<f64>,
@@ -68,11 +218,15 @@ pub(crate) struct CongestionField {
     link_demand: Vec<f64>,
     /// Per-node streaming-flow weight (row-buffer interference).
     streams: Vec<f64>,
-    /// Per-node congestion factor (valid after `finalize`).
+    /// Per-node congestion factor.
     node_cong: Vec<f64>,
-    /// Per socket-pair link congestion factor (valid after `finalize`).
+    /// Per socket-pair link congestion factor.
     link_cong: Vec<f64>,
-    num_sockets: usize,
+    /// Nodes whose factor changed in the last finalize (one bit per node,
+    /// mod 64).
+    changed_nodes: u64,
+    /// Links whose factor changed in the last finalize (mod 64).
+    changed_links: u64,
 }
 
 impl CongestionField {
@@ -83,48 +237,91 @@ impl CongestionField {
             streams: vec![0.0; num_nodes],
             node_cong: vec![1.0; num_nodes],
             link_cong: vec![1.0; num_sockets * num_sockets],
-            num_sockets,
+            changed_nodes: 0,
+            changed_links: 0,
         }
     }
 
-    pub(crate) fn clear(&mut self) {
+    /// Re-aggregates demand over every running chunk of `crews`, updates
+    /// the congestion factors, reprices the chunks whose inputs changed, and
+    /// returns the smallest time to completion over the busy workers
+    /// (`remaining / rate` of running chunks, the remaining time of
+    /// scheduling actions; infinite if none is busy).
+    pub(crate) fn refresh<C: Crews + ?Sized>(
+        &mut self,
+        params: &MachineParams,
+        crews: &mut C,
+        pricing: &impl Pricing,
+    ) -> f64 {
         self.demand.iter_mut().for_each(|d| *d = 0.0);
         self.link_demand.iter_mut().for_each(|d| *d = 0.0);
         self.streams.iter_mut().for_each(|d| *d = 0.0);
+        crews.each(|w| {
+            if matches!(w.state, WorkerState::Running { .. }) {
+                self.add(&w.flow, 1.0 / pricing.occupancy(w.core.index()));
+            }
+        });
+        self.finalize(params);
+
+        let mut dt = f64::INFINITY;
+        crews.each(|w| {
+            let (core, node) = (w.core.index(), w.node);
+            let t = match &mut w.state {
+                WorkerState::Overhead { remaining_ns, .. } => *remaining_ns,
+                WorkerState::Running {
+                    remaining, rate, ..
+                } => {
+                    let occupancy = pricing.occupancy(core);
+                    let slowdown = pricing.slowdown(node);
+                    let speed = pricing.speed(node);
+                    let flow = &mut w.flow;
+                    if flow.fresh
+                        || flow.occupancy != occupancy
+                        || flow.slowdown != slowdown
+                        || flow.node_reads & self.changed_nodes != 0
+                        || flow.link_reads & self.changed_links != 0
+                    {
+                        *rate = self.rate(flow, occupancy, slowdown, speed);
+                        flow.fresh = false;
+                        flow.occupancy = occupancy;
+                        flow.slowdown = slowdown;
+                    } else {
+                        debug_assert_eq!(
+                            self.rate(flow, occupancy, slowdown, speed).to_bits(),
+                            rate.to_bits(),
+                            "dirty-set refresh kept a stale rate"
+                        );
+                    }
+                    if *rate > 0.0 {
+                        *remaining / *rate
+                    } else {
+                        f64::INFINITY
+                    }
+                }
+                _ => f64::INFINITY,
+            };
+            dt = dt.min(t);
+        });
+        dt
     }
 
     /// Adds one running chunk's demand. `scale` discounts a chunk that holds
     /// only part of a core (timeshared execution under oversubscription
-    /// issues proportionally less traffic); single-loop engines pass 1.0.
-    pub(crate) fn add_flow(
-        &mut self,
-        topo: &Topology,
-        spec: &TaskSpec,
-        exec_node: usize,
-        traffic: &[(usize, f64, f64)],
-        desired_bw: f64,
-        scale: f64,
-    ) {
-        let stream_weight = match spec.locality {
-            crate::task::Locality::Chunked => 1.0,
-            crate::task::Locality::Scattered { spread } => 1.0 - spread,
-        };
-        self.streams[spec.home_node.index()] += stream_weight * scale;
-        let ns = self.num_sockets;
-        let s_from = topo.socket_of_node(NodeId::new(exec_node)).index();
-        for &(k, frac, _) in traffic {
-            let bw = desired_bw * frac * scale;
-            self.demand[k] += bw;
-            let s_to = topo.socket_of_node(NodeId::new(k)).index();
-            if s_from != s_to {
-                let (a, b) = (s_from.min(s_to), s_from.max(s_to));
-                self.link_demand[a * ns + b] += bw;
+    /// issues proportionally less traffic); dedicated cores pass 1.0.
+    fn add(&mut self, flow: &Flow, scale: f64) {
+        self.streams[flow.stream_node] += flow.stream_weight * scale;
+        for row in &flow.rows {
+            let bw = row.bw * scale;
+            self.demand[row.node as usize] += bw;
+            if row.link != NO_LINK {
+                self.link_demand[row.link as usize] += bw;
             }
         }
     }
 
-    /// Converts accumulated demand into congestion factors.
-    pub(crate) fn finalize(&mut self, params: &MachineParams) {
+    /// Converts accumulated demand into congestion factors, recording which
+    /// factors changed bit for bit.
+    fn finalize(&mut self, params: &MachineParams) {
         let beta = params.overload_beta;
         let cong = |demand: f64, bw: f64| -> f64 {
             let util = demand / bw;
@@ -136,56 +333,52 @@ impl CongestionField {
         };
         let kappa = params.stream_kappa;
         let base = params.stream_base;
-        for (out, (&d, &st)) in self
+        self.changed_nodes = 0;
+        for (k, (out, (&d, &st))) in self
             .node_cong
             .iter_mut()
             .zip(self.demand.iter().zip(&self.streams))
+            .enumerate()
         {
             let stream_factor = 1.0 + kappa * (st - base).max(0.0);
-            *out = cong(d, params.node_bw) * stream_factor;
-        }
-        for (out, &d) in self.link_cong.iter_mut().zip(&self.link_demand) {
-            *out = cong(d, params.link_bw);
-        }
-    }
-
-    /// The congestion-weighted latency penalty of a chunk's traffic when
-    /// executed from `exec_node`. Cross-socket rows pay the worse of the
-    /// target controller's and the link's congestion.
-    pub(crate) fn penalty(
-        &self,
-        topo: &Topology,
-        exec_node: usize,
-        traffic: &[(usize, f64, f64)],
-    ) -> f64 {
-        let ns = self.num_sockets;
-        let s_from = topo.socket_of_node(NodeId::new(exec_node)).index();
-        let mut penalty = 0.0;
-        for &(k, frac, lat) in traffic {
-            let s_to = topo.socket_of_node(NodeId::new(k)).index();
-            let mut c = self.node_cong[k];
-            if s_from != s_to {
-                let (a, b) = (s_from.min(s_to), s_from.max(s_to));
-                c = c.max(self.link_cong[a * ns + b]);
+            let c = cong(d, params.node_bw) * stream_factor;
+            if c.to_bits() != out.to_bits() {
+                self.changed_nodes |= bit(k);
+                *out = c;
             }
-            penalty += frac * lat * c;
         }
-        penalty
+        self.changed_links = 0;
+        for (l, (out, &d)) in self.link_cong.iter_mut().zip(&self.link_demand).enumerate() {
+            let c = cong(d, params.link_bw);
+            if c.to_bits() != out.to_bits() {
+                self.changed_links |= bit(l);
+                *out = c;
+            }
+        }
     }
-}
 
-/// The chunk's wall duration on a core at frequency factor `freq` under the
-/// given congestion penalty: compute plus memory streamed at the single-core
-/// bandwidth, inflated by the penalty (which never accelerates, hence the
-/// clamp at 1).
-pub(crate) fn chunk_duration(
-    params: &MachineParams,
-    spec: &TaskSpec,
-    exec_node: NodeId,
-    freq: f64,
-    penalty: f64,
-) -> f64 {
-    let compute = spec.compute_ns / freq;
-    let mem = spec.effective_bytes(exec_node) / params.core_bw * penalty.max(1.0);
-    compute + mem
+    /// A chunk's progress rate (fraction of the chunk per ns) against the
+    /// current factors. Its memory time is inflated by the
+    /// congestion-weighted latency penalty of its rows (never below 1);
+    /// cross-socket rows pay the worse of the target controller's and the
+    /// link's congestion. The duration is then stretched by the core's
+    /// occupancy and the node's slowdown, and shrunk by an outlier window's
+    /// speed factor.
+    fn rate(&self, flow: &Flow, occupancy: f64, slowdown: f64, speed: f64) -> f64 {
+        let mut penalty = 0.0;
+        for row in &flow.rows {
+            let mut c = self.node_cong[row.node as usize];
+            if row.link != NO_LINK {
+                c = c.max(self.link_cong[row.link as usize]);
+            }
+            penalty += row.weight * c;
+        }
+        let duration =
+            (flow.compute_ns + flow.mem_ns * penalty.max(1.0)) * occupancy * slowdown / speed;
+        if duration > 0.0 {
+            1.0 / duration
+        } else {
+            f64::INFINITY
+        }
+    }
 }
