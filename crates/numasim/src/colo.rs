@@ -30,15 +30,21 @@
 //! the machine-global clock).
 //!
 //! Rates: every event calls the same dirty-set refresh as the single-loop
-//! engine ([`CongestionField::refresh`]) over all lanes' workers in lane
-//! order. Each core's occupancy and each node's fault-plan slowdown are
-//! inputs to it; a chunk is repriced when it is fresh, when its core's
-//! occupancy or its node's slowdown changed, or when a congestion factor it
-//! reads changed. Every other chunk keeps its rate, which is bit-identical
-//! to recomputing it.
+//! engine ([`CongestionField::refresh`]) over the workers of the loops in
+//! flight, in lane order. Each core's occupancy and each node's fault-plan
+//! slowdown are inputs to it; a chunk is repriced when it is fresh, when its
+//! core's occupancy or its node's slowdown changed, or when a congestion
+//! factor it reads changed. Every other chunk keeps its rate, which is
+//! bit-identical to recomputing it.
 //!
-//! Determinism: lanes are iterated in index order at every event, so a given
-//! machine seed and call sequence replays exactly.
+//! Cost: the machine holds only the loops in flight, so the work per event
+//! follows the lanes that are running, not the lanes ever added. A server
+//! that adds a lane per job walks its few live tenants on every event,
+//! however long its job stream.
+//!
+//! Determinism: in-flight loops are kept sorted by lane id and visited in
+//! that order at every event, so a given machine seed and call sequence
+//! replays exactly.
 //!
 //! **Fault injection** — [`set_fault_plan`](ColoMachine::set_fault_plan)
 //! applies an [`ilan_faults::FaultPlan`] to every loop started afterwards,
@@ -68,6 +74,8 @@ use std::collections::VecDeque;
 
 /// One lane's in-flight taskloop invocation.
 struct LaneRun {
+    /// The lane the loop runs on.
+    lane: usize,
     tasks: Vec<TaskSpec>,
     pools: PoolSet,
     workers: Vec<Worker>,
@@ -94,10 +102,10 @@ impl LaneRun {
     }
 }
 
-impl Crews for [Option<LaneRun>] {
+impl Crews for [LaneRun] {
     fn each(&mut self, mut f: impl FnMut(&mut Worker)) {
-        for lane in self.iter_mut().flatten() {
-            lane.workers.iter_mut().for_each(&mut f);
+        for run in self {
+            run.workers.iter_mut().for_each(&mut f);
         }
     }
 }
@@ -131,7 +139,10 @@ pub struct ColoMachine {
     freqs: Vec<f64>,
     rng: StdRng,
     now_ns: f64,
-    lanes: Vec<Option<LaneRun>>,
+    /// Lanes handed out by [`add_lane`](Self::add_lane).
+    lanes: usize,
+    /// The loops in flight, sorted by lane id.
+    runs: Vec<LaneRun>,
     field: CongestionField,
     /// Scratch: number of running chunks per core, across all lanes.
     core_load: Vec<usize>,
@@ -164,7 +175,8 @@ impl ColoMachine {
             freqs,
             rng,
             now_ns: 0.0,
-            lanes: Vec::new(),
+            lanes: 0,
+            runs: Vec::new(),
             field: CongestionField::new(num_nodes, num_sockets),
             core_load: vec![0; num_cores],
             node_slowdown: vec![1.0; num_nodes],
@@ -223,20 +235,35 @@ impl ColoMachine {
         self.now_ns
     }
 
-    /// Registers a new (idle) lane and returns its id.
+    /// Registers a new (idle) lane and returns its id. An idle lane costs
+    /// nothing per event.
     pub fn add_lane(&mut self) -> usize {
-        self.lanes.push(None);
-        self.lanes.len() - 1
+        self.lanes += 1;
+        self.lanes - 1
+    }
+
+    /// Where `lane`'s loop sits in `runs`: `Ok` if one is in flight, else
+    /// the position that keeps `runs` sorted.
+    fn slot(&self, lane: usize) -> Result<usize, usize> {
+        assert!(
+            lane < self.lanes,
+            "unknown lane {lane}: add_lane has handed out {} lane(s)",
+            self.lanes
+        );
+        self.runs.binary_search_by_key(&lane, |run| run.lane)
     }
 
     /// Whether `lane` currently has a loop in flight.
+    ///
+    /// # Panics
+    /// Panics if `lane` was not returned by [`add_lane`](Self::add_lane).
     pub fn lane_busy(&self, lane: usize) -> bool {
-        self.lanes[lane].is_some()
+        self.slot(lane).is_ok()
     }
 
     /// Whether any lane has a loop in flight.
     pub fn any_busy(&self) -> bool {
-        !self.finished.is_empty() || self.lanes.iter().any(|l| l.is_some())
+        !self.finished.is_empty() || !self.runs.is_empty()
     }
 
     /// Submits one taskloop invocation on `lane`: `lead_ns` of serial time
@@ -244,8 +271,9 @@ impl ColoMachine {
     /// parallel execution on `active` cores under `plan`.
     ///
     /// # Panics
-    /// Panics if the lane is already busy, the plan does not cover `tasks`,
-    /// or `active` is empty / outside the topology.
+    /// Panics if `lane` was not returned by [`add_lane`](Self::add_lane), the
+    /// lane is already busy, the plan does not cover `tasks`, or `active` is
+    /// empty / outside the topology.
     pub fn start_loop(
         &mut self,
         lane: usize,
@@ -254,10 +282,9 @@ impl ColoMachine {
         tasks: Vec<TaskSpec>,
         lead_ns: f64,
     ) {
-        assert!(
-            self.lanes[lane].is_none(),
-            "lane {lane} already has a loop in flight"
-        );
+        let Err(at) = self.slot(lane) else {
+            panic!("lane {lane} already has a loop in flight");
+        };
         assert!(
             lead_ns >= 0.0 && lead_ns.is_finite(),
             "lead time must be finite and >= 0"
@@ -287,7 +314,8 @@ impl ColoMachine {
                 }
             }
         }
-        self.lanes[lane] = Some(LaneRun {
+        let run = LaneRun {
+            lane,
             tasks,
             pools,
             workers,
@@ -300,7 +328,8 @@ impl ColoMachine {
             migrations: 0,
             rng_state: perm_seed ^ 0xD1B54A32D192ED03,
             recorder,
-        });
+        };
+        self.runs.insert(at, run);
     }
 
     /// Runs until some lane's loop completes, returning `(lane, outcome)`.
@@ -331,7 +360,7 @@ impl ColoMachine {
             if let Some(done) = self.finished.pop_front() {
                 return Some(done);
             }
-            if self.lanes.iter().all(|l| l.is_none()) {
+            if self.runs.is_empty() {
                 if t_end.is_finite() {
                     self.now_ns = self.now_ns.max(t_end);
                 }
@@ -340,7 +369,7 @@ impl ColoMachine {
 
             // Let every idle worker of every executing lane acquire work
             // (fixed point: batch steals can wake parked peers).
-            for lane in self.lanes.iter_mut().flatten() {
+            for lane in &mut self.runs {
                 if !lane.executing() {
                     continue;
                 }
@@ -411,7 +440,7 @@ impl ColoMachine {
             // completing, a lead, barrier or stall expiring, and the
             // caller's deadline.
             let mut dt = (t_end - self.now_ns).min(self.refresh_rates());
-            for lane in self.lanes.iter().flatten() {
+            for lane in &self.runs {
                 if lane.lead_remaining_ns > 0.0 {
                     dt = dt.min(lane.lead_remaining_ns);
                     continue;
@@ -448,7 +477,7 @@ impl ColoMachine {
     /// time-to-completion over all busy workers.
     fn refresh_rates(&mut self) -> f64 {
         self.core_load.iter_mut().for_each(|c| *c = 0);
-        for lane in self.lanes.iter().flatten() {
+        for lane in &self.runs {
             if lane.lead_remaining_ns > 0.0 {
                 continue;
             }
@@ -463,15 +492,16 @@ impl ColoMachine {
             node_slowdown: &self.node_slowdown,
         };
         self.field
-            .refresh(&self.params, &mut self.lanes[..], &pricing)
+            .refresh(&self.params, &mut self.runs[..], &pricing)
     }
 
     /// Advances simulated time by `dt`, completing whatever finishes.
+    /// Loops whose barrier expires leave `runs` and queue their outcomes in
+    /// lane order.
     fn advance(&mut self, dt: f64) {
         self.now_ns += dt;
         let core_bw = self.params.core_bw;
-        for (id, slot) in self.lanes.iter_mut().enumerate() {
-            let Some(lane) = slot else { continue };
+        for lane in &mut self.runs {
             if lane.lead_remaining_ns > 0.0 {
                 lane.lead_remaining_ns -= dt;
                 if lane.lead_remaining_ns <= EPS {
@@ -481,26 +511,6 @@ impl ColoMachine {
             }
             if let Some(b) = &mut lane.barrier_remaining_ns {
                 *b -= dt;
-                if *b <= EPS {
-                    let lane = slot.take().expect("lane present");
-                    let num_cores = self.params.topology.num_cores();
-                    let num_nodes = lane.nodes_out.len();
-                    self.finished.push_back((
-                        id,
-                        LoopOutcome {
-                            makespan_ns: self.now_ns - lane.started_ns,
-                            sched_overhead_ns: lane.overhead_ns,
-                            nodes: lane.nodes_out,
-                            migrations: lane.migrations,
-                            threads: lane.workers.len(),
-                            trace: Vec::new(),
-                            events: lane
-                                .recorder
-                                .map(|r| r.into_log(num_cores, num_nodes))
-                                .unwrap_or_default(),
-                        },
-                    ));
-                }
                 continue;
             }
             for w in &mut lane.workers {
@@ -556,6 +566,26 @@ impl ColoMachine {
                     _ => {}
                 }
             }
+        }
+        let num_cores = self.params.topology.num_cores();
+        let done = |run: &mut LaneRun| run.barrier_remaining_ns.is_some_and(|b| b <= EPS);
+        for run in self.runs.extract_if(.., done) {
+            let num_nodes = run.nodes_out.len();
+            self.finished.push_back((
+                run.lane,
+                LoopOutcome {
+                    makespan_ns: self.now_ns - run.started_ns,
+                    sched_overhead_ns: run.overhead_ns,
+                    nodes: run.nodes_out,
+                    migrations: run.migrations,
+                    threads: run.workers.len(),
+                    trace: Vec::new(),
+                    events: run
+                        .recorder
+                        .map(|r| r.into_log(num_cores, num_nodes))
+                        .unwrap_or_default(),
+                },
+            ));
         }
     }
 }
@@ -966,6 +996,25 @@ mod tests {
         let topo = presets::tiny_2x4();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         colo.set_fault_plan(plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown lane 2: add_lane has handed out 2 lane(s)")]
+    fn lane_busy_rejects_unknown_lanes() {
+        let topo = presets::tiny_2x4();
+        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+        colo.add_lane();
+        colo.add_lane();
+        colo.lane_busy(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown lane 0: add_lane has handed out 0 lane(s)")]
+    fn start_loop_rejects_unknown_lanes() {
+        let topo = presets::tiny_2x4();
+        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+        colo.start_loop(0, &cores, &split_plan(8, 2), both_home_tasks(8, 2), 0.0);
     }
 
     #[test]

@@ -220,3 +220,77 @@ fn colo_machine_oversubscribed_slow_node_bits() {
     }
     assert_eq!(lines, COLO);
 }
+
+const SPARSE: &[&str] = &[
+    "lane0 makespan=41119bf12261c0c2 overhead=412b385d3ee5f502 busy=4123c5db1750fcb6,412708f03350114e",
+    "now=41119bf12261c0c2",
+    "lane2 makespan=4118c4b9f5dab2ec overhead=4113d2145603954f busy=413388f0e059cd9a,0000000000000000",
+    "now=4118c4b9f5dab2ec",
+    "lane3 makespan=411fe72de5d0f0ed overhead=41230c1fb5f1fafe busy=4139a0921789d0c3,413c0f93d91f139a",
+    "now=411fe72de5d0f0ed",
+    "lane0 makespan=410d2c59f5839ed0 overhead=412008a4af806a9b busy=4129c6c61e2203a7,411f33fa3ac99ed2",
+    "now=4120190f0e91c815",
+    "lane5 makespan=412726d700a635a6 overhead=40f2fbc602c56478 busy=0000000000000000,41465f6ed0900a87",
+    "now=412726d700a635a6",
+];
+
+/// Six lanes, two of them (1 and 4) never started. Loops start on high ids
+/// first with staggered leads, and the first low id to finish is restarted
+/// while higher ids are still in flight, as the server's retry path does.
+#[test]
+fn colo_machine_sparse_reused_lanes_bits() {
+    let topo = presets::tiny_2x4();
+    let mut colo = ColoMachine::new(MachineParams::for_topology(&topo), 13);
+    let lanes: Vec<usize> = (0..6).map(|_| colo.add_lane()).collect();
+    let all = topo.cpuset_of_mask(topo.all_nodes());
+    let node0: CpuSet = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
+    let node1: CpuSet = topo.cpuset_of_mask(NodeMask::single(NodeId::new(1)));
+    colo.start_loop(
+        lanes[5],
+        &node1,
+        &PlacementPlan::flat(),
+        tasks(48, 2, Locality::Chunked),
+        2_000.0,
+    );
+    colo.start_loop(
+        lanes[3],
+        &all,
+        &hierarchical(40, 2, false),
+        tasks(40, 2, Locality::Scattered { spread: 0.5 }),
+        500.0,
+    );
+    colo.start_loop(
+        lanes[2],
+        &node0,
+        &PlacementPlan::worksharing(),
+        tasks(16, 2, Locality::Chunked),
+        4_000.0,
+    );
+    colo.start_loop(
+        lanes[0],
+        &all,
+        &PlacementPlan::flat(),
+        tasks(12, 2, Locality::Scattered { spread: 0.8 }),
+        0.0,
+    );
+    let mut restarted = false;
+    let mut lines = Vec::new();
+    while let Some((lane, out)) = colo.run_until_next_completion() {
+        lines.push(line(&format!("lane{lane}"), &out));
+        lines.push(format!("now={:016x}", colo.now_ns().to_bits()));
+        if !restarted && lane < lanes[3] {
+            assert!(colo.lane_busy(lanes[3]) && colo.lane_busy(lanes[5]));
+            colo.start_loop(
+                lane,
+                &all,
+                &hierarchical(24, 2, true),
+                tasks(24, 2, Locality::Chunked),
+                1_000.0,
+            );
+            restarted = true;
+        }
+    }
+    assert!(restarted, "a low lane finished while high lanes ran");
+    assert!(!colo.lane_busy(lanes[1]) && !colo.lane_busy(lanes[4]));
+    assert_eq!(lines, SPARSE);
+}

@@ -80,9 +80,19 @@ impl ServerConfig {
 
 /// Persistent PTTs keyed by (workload, partition node count), stored in the
 /// plain-text format so every warm start exercises a save/load round trip.
+/// Next to each text the store keeps the summary
+/// [`hungry_hint`](Self::hungry_hint) reads, parsed once at save.
 #[derive(Default)]
 pub struct PttStore {
-    entries: HashMap<(Workload, usize), String>,
+    entries: HashMap<(Workload, usize), Entry>,
+}
+
+/// One stored PTT.
+struct Entry {
+    text: String,
+    /// The fewest threads any site's fastest configuration runs on; `None`
+    /// if the text does not parse or no site has a measurement.
+    fewest_fastest_threads: Option<usize>,
 }
 
 impl PttStore {
@@ -94,7 +104,17 @@ impl PttStore {
     /// Saves pre-rendered PTT text verbatim — the fault-injection path uses
     /// this to plant corrupted bytes the loader must survive.
     pub fn save_raw(&mut self, workload: Workload, partition_nodes: usize, text: String) {
-        self.entries.insert((workload, partition_nodes), text);
+        let fewest_fastest_threads = Ptt::load_text(&text).ok().and_then(|ptt| {
+            ptt.site_ids()
+                .into_iter()
+                .filter_map(|site| Some(ptt.site(site)?.fastest()?.threads))
+                .min()
+        });
+        let entry = Entry {
+            text,
+            fewest_fastest_threads,
+        };
+        self.entries.insert((workload, partition_nodes), entry);
     }
 
     /// Loads the stored PTT, if any. Lenient: unparsable text (a corrupted
@@ -103,7 +123,7 @@ impl PttStore {
     pub fn load(&self, workload: Workload, partition_nodes: usize) -> Option<Ptt> {
         self.entries
             .get(&(workload, partition_nodes))
-            .and_then(|text| Ptt::load_text(text).ok())
+            .and_then(|entry| Ptt::load_text(&entry.text).ok())
     }
 
     /// Whether an entry exists for the key, parsable or not. Together with
@@ -116,31 +136,23 @@ impl PttStore {
     /// Whether any stored PTT for `workload` settled below the partition's
     /// core capacity — the PTT-derived bandwidth-hunger signal (an interior
     /// moldability optimum means the loop saturates memory before cores).
+    /// `None` when no stored PTT of `workload` parses and has a measurement:
+    /// corrupted entries carry no signal. Reads the summary parsed at save,
+    /// so no text is parsed here.
     pub fn hungry_hint(&self, workload: Workload, cores_per_node: usize) -> Option<bool> {
-        let mut seen = false;
-        for ((w, nodes), text) in &self.entries {
+        let mut hint = None;
+        for ((w, nodes), entry) in &self.entries {
             if *w != workload {
                 continue;
             }
-            // Corrupted entries carry no signal; skip them.
-            let Ok(ptt) = Ptt::load_text(text) else {
-                continue;
-            };
-            let capacity = nodes * cores_per_node;
-            for site in ptt.site_ids() {
-                let Some(table) = ptt.site(site) else {
-                    continue;
-                };
-                let Some(best) = table.fastest() else {
-                    continue;
-                };
-                seen = true;
-                if best.threads < capacity {
+            if let Some(threads) = entry.fewest_fastest_threads {
+                if threads < nodes * cores_per_node {
                     return Some(true);
                 }
+                hint = Some(false);
             }
         }
-        seen.then_some(false)
+        hint
     }
 }
 
@@ -313,7 +325,7 @@ fn run_colocation_impl(
     let mut next_pending = 0usize;
     let mut waiting: Vec<JobSpec> = Vec::new();
     let mut tenants: HashMap<usize, Tenant> = HashMap::new();
-    let mut records: Vec<JobRecord> = Vec::new();
+    let mut records: Vec<JobRecord> = Vec::with_capacity(stream.len());
 
     // Fault bookkeeping (all zero / inert without a plan).
     let mut shed: Vec<JobSpec> = Vec::new();
@@ -797,5 +809,109 @@ mod tests {
         let mut store2 = PttStore::default();
         store2.save(Workload::Sp, 2, &full);
         assert_eq!(store2.hungry_hint(Workload::Sp, 4), Some(false));
+    }
+
+    /// The hint computed the slow way: parse every stored text of the
+    /// workload and look at each site's fastest configuration.
+    fn parsed_hint(store: &PttStore, workload: Workload, cores_per_node: usize) -> Option<bool> {
+        let mut seen = false;
+        for ((w, nodes), entry) in &store.entries {
+            if *w != workload {
+                continue;
+            }
+            let Ok(ptt) = Ptt::load_text(&entry.text) else {
+                continue;
+            };
+            let capacity = nodes * cores_per_node;
+            for site in ptt.site_ids() {
+                let Some(table) = ptt.site(site) else {
+                    continue;
+                };
+                let Some(best) = table.fastest() else {
+                    continue;
+                };
+                seen = true;
+                if best.threads < capacity {
+                    return Some(true);
+                }
+            }
+        }
+        seen.then_some(false)
+    }
+
+    /// A PTT with one measurement per `(site, threads, time)`.
+    fn ptt_of(measurements: &[(u64, usize, f64)]) -> Ptt {
+        let mut ptt = Ptt::new();
+        for &(site, threads, time) in measurements {
+            ptt.record(
+                ilan::SiteId::new(site),
+                threads,
+                ilan_topology::NodeMask::first_n(1),
+                ilan::StealPolicy::Strict,
+                &ilan::TaskloopReport::synthetic(time, threads),
+            );
+        }
+        ptt
+    }
+
+    #[test]
+    fn hungry_hint_matches_parsing_every_entry() {
+        use ilan_faults::{FaultConfig, FaultPlan};
+        let corrupt = |text: &str, seed: u64| {
+            let config = FaultConfig {
+                ptt_corruption_denom: 1,
+                ..FaultConfig::none()
+            };
+            FaultPlan::new(seed, 8, 2, config).corrupt_text(text)
+        };
+        let settled_low = ptt_of(&[(0, 8, 90.0), (0, 4, 50.0), (1, 16, 70.0)]).save_text();
+        let settled_full = ptt_of(&[(0, 16, 40.0), (0, 8, 60.0), (2, 16, 10.0)]).save_text();
+        let empty = Ptt::new().save_text();
+        let mut store = PttStore::default();
+        let mut seen = Vec::new();
+        let mut check = |store: &PttStore, step: &str| {
+            for workload in [Workload::Cg, Workload::Sp, Workload::Matmul] {
+                for cores_per_node in [1, 2, 4, 8, 16] {
+                    let hint = store.hungry_hint(workload, cores_per_node);
+                    assert_eq!(
+                        hint,
+                        parsed_hint(store, workload, cores_per_node),
+                        "{step}: {workload:?} with {cores_per_node} cores per node"
+                    );
+                    seen.push(hint);
+                }
+            }
+        };
+        check(&store, "empty store");
+        // Valid entries, several partition sizes per workload.
+        store.save_raw(Workload::Cg, 1, settled_full.clone());
+        check(&store, "one full entry");
+        store.save_raw(Workload::Cg, 2, settled_low.clone());
+        store.save_raw(Workload::Cg, 4, settled_full.clone());
+        store.save_raw(Workload::Sp, 2, settled_full.clone());
+        store.save_raw(Workload::Matmul, 1, empty.clone());
+        check(&store, "valid entries");
+        // Corrupted saves: flipped bytes and a torn write.
+        for seed in 0..8 {
+            store.save_raw(Workload::Sp, 1, corrupt(&settled_low, seed));
+            check(&store, &format!("corrupted save {seed}"));
+        }
+        store.save_raw(
+            Workload::Matmul,
+            2,
+            settled_low[..settled_low.len() / 2].to_string(),
+        );
+        check(&store, "torn save");
+        // A corrupted entry overwritten by a valid one, and the reverse.
+        store.save_raw(Workload::Sp, 1, settled_low.clone());
+        check(&store, "corrupted entry overwritten by a valid one");
+        store.save_raw(Workload::Cg, 2, "site 0\n\u{0}garbage".to_string());
+        check(&store, "valid entry overwritten by a corrupted one");
+        store.save_raw(Workload::Matmul, 2, settled_full.clone());
+        check(&store, "torn entry overwritten by a valid one");
+        // Every answer occurred, so no case is vacuous.
+        for hint in [None, Some(false), Some(true)] {
+            assert!(seen.contains(&hint), "no case produced {hint:?}");
+        }
     }
 }
