@@ -1,7 +1,7 @@
-//! Micro-benchmarks of the simulator engines themselves (real wall time):
-//! how fast the fluid-rate event loops retire simulated chunks, for the
-//! single-loop engine under each placement plan and for a two-lane
-//! colocation machine. Useful when extending the memory model — regressions
+//! Micro-benchmarks of the simulator's event loop itself (real wall time):
+//! how fast it retires simulated chunks, for single `SimMachine`
+//! invocations under each placement plan and for a two-lane colocation
+//! machine. Useful when extending the memory model — regressions
 //! here multiply across the whole reproduction harness.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -21,6 +21,7 @@
 //! cargo run --release -p ilan-bench --bin overhead -- [--quick] [--out PATH]
 //! ```
 
+use ilan_bench::obs::percentiles;
 use ilan_runtime::{
     ExecMode, Grain, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool, WakeMode,
 };
@@ -32,14 +33,6 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!("usage: overhead [--quick] [--out PATH]");
     std::process::exit(2);
-}
-
-/// Medians are robust to the scheduler noise of an oversubscribed machine;
-/// p10/p90 show the spread. `samples` is sorted in place.
-fn percentiles(samples: &mut [u64]) -> (u64, u64, u64) {
-    samples.sort_unstable();
-    let pick = |p: usize| samples[(samples.len() - 1) * p / 100];
-    (pick(10), pick(50), pick(90))
 }
 
 /// Times `reps` runs of a trivial-body taskloop on a warm pool.

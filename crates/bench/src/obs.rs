@@ -120,7 +120,13 @@ fn time_paired(
     (sa, sb)
 }
 
-fn percentiles(samples: &mut [u64]) -> (u64, u64, u64) {
+/// The p10, median and p90 of `samples` (nearest lower rank), sorting it in
+/// place. Medians are robust to the scheduler noise of an oversubscribed
+/// machine; p10/p90 show the spread.
+///
+/// # Panics
+/// Panics if `samples` is empty.
+pub fn percentiles(samples: &mut [u64]) -> (u64, u64, u64) {
     samples.sort_unstable();
     let pick = |p: usize| samples[(samples.len() - 1) * p / 100];
     (pick(10), pick(50), pick(90))

@@ -1,41 +1,52 @@
-//! Multi-tenant colocation: several concurrent taskloops on one machine.
+//! The simulator's event loop: one or several concurrent taskloops on one
+//! machine.
 //!
-//! [`SimMachine`](crate::SimMachine) executes one taskloop at a time — the
-//! paper's single-application model. [`ColoMachine`] extends the same
-//! fluid-rate simulation to several *lanes* (tenants) whose loops run
-//! concurrently. All lanes share one [`CongestionField`]: the per-node
-//! memory controllers, the inter-socket links and the row-buffer stream
-//! budget are priced across every running chunk on the machine, regardless
-//! of which lane issued it. That shared field *is* the interference channel
-//! a co-scheduler must manage.
+//! [`ColoMachine`] runs *lanes* (tenants) whose loops execute concurrently;
+//! [`SimMachine`](crate::SimMachine), the paper's single-application model,
+//! is a wrapper that runs one loop at a time on one lane. All lanes share
+//! one [`CongestionField`]: the per-node memory controllers, the
+//! inter-socket links and the row-buffer stream budget are priced across
+//! every running chunk on the machine, regardless of which lane issued it.
+//! That shared field *is* the interference channel a co-scheduler must
+//! manage.
 //!
-//! Two additional mechanisms model sharing policies:
+//! Between events every running chunk progresses linearly at a rate
+//! computed from the machine state; an event is a chunk completing, a
+//! worker finishing a scheduling action, a lead, barrier or stall expiring,
+//! or the caller's deadline. The worker/pool state machine lives in
+//! [`exec`](crate::exec) and the cost model in [`rates`](crate::rates).
+//!
+//! Two mechanisms model sharing policies:
 //!
 //! * **Oversubscription** — when two lanes activate the same core, its
 //!   running chunks timeshare it: each progresses at `1/occupancy` of its
 //!   rate and issues `1/occupancy` of its DRAM traffic (a round-robin OS
 //!   scheduler in the fluid limit). Disjoint partitions have occupancy 1
-//!   and behave exactly like the single-loop engine.
+//!   and behave exactly like a loop running alone.
 //! * **Lead time** — each loop may start with a serial lead (scheduler
 //!   decision cost plus any serial section of the tenant's program) during
 //!   which its workers are not yet active.
 //!
-//! Simplifications relative to [`SimMachine`]: no outlier windows (per-core
-//! frequency jitter still applies — it is drawn once per machine), no
-//! per-chunk [`TaskRecord`](crate::TaskRecord) tracing, and scheduling
-//! actions (pops/steals) are not slowed by oversubscription — only chunk
-//! execution is. Scheduler *event* tracing is available: after
-//! [`set_tracing`](ColoMachine::set_tracing), every completed loop's
-//! [`LoopOutcome::events`] carries its auditable event log (timestamps on
-//! the machine-global clock).
+//! Noise: per-core frequency jitter is drawn once per machine. Outlier
+//! windows (one node running slower for a whole invocation) are drawn only
+//! by [`SimMachine`](crate::SimMachine)'s invocations, whose clock restarts
+//! at 0 for each loop; [`start_loop`](ColoMachine::start_loop) draws none.
+//! Scheduling actions (pops/steals) are not slowed by oversubscription —
+//! only chunk execution is.
 //!
-//! Rates: every event calls the same dirty-set refresh as the single-loop
-//! engine ([`CongestionField::refresh`]) over the workers of the loops in
-//! flight, in lane order. Each core's occupancy and each node's fault-plan
-//! slowdown are inputs to it; a chunk is repriced when it is fresh, when its
-//! core's occupancy or its node's slowdown changed, or when a congestion
-//! factor it reads changed. Every other chunk keeps its rate, which is
-//! bit-identical to recomputing it.
+//! Tracing: after [`set_tracing`](ColoMachine::set_tracing), every completed
+//! loop's [`LoopOutcome::events`] carries its auditable event log and
+//! [`LoopOutcome::trace`] its per-chunk records (times on the
+//! machine-global clock).
+//!
+//! Rates: every event runs one dirty-set refresh over the workers of the
+//! loops in flight, in lane order ([`CongestionField::aggregate`], then
+//! [`CongestionField::reprice`] per loop). The machine keeps each core's count of running chunks up
+//! to date as chunks start and end, and pushes a chunk's occupancy, node
+//! slowdown and node speed into its flow when one of them changes; a chunk
+//! is repriced when it is fresh or a congestion factor it reads changed.
+//! Every other chunk keeps its rate, which is bit-identical to recomputing
+//! it.
 //!
 //! Cost: the machine holds only the loops in flight, so the work per event
 //! follows the lanes that are running, not the lanes ever added. A server
@@ -60,10 +71,10 @@
 //! placements.
 
 use crate::exec::{begin_chunk, make_workers, seek, PoolSet, Worker, WorkerState, EPS};
-use crate::outcome::{LoopOutcome, NodeOutcome};
+use crate::outcome::{LoopOutcome, NodeOutcome, TaskRecord};
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{CongestionField, Crews, Pricing};
+use crate::rates::CongestionField;
 use crate::task::TaskSpec;
 use ilan_faults::FaultPlan;
 use ilan_topology::{CpuSet, NodeId, Topology};
@@ -87,43 +98,22 @@ struct LaneRun {
     lead_remaining_ns: f64,
     /// Remaining closing-barrier time once all chunks have completed.
     barrier_remaining_ns: Option<f64>,
+    /// Whether the fault plan stalls any of the loop's workers.
+    stalls: bool,
     overhead_ns: f64,
     nodes_out: Vec<NodeOutcome>,
     migrations: usize,
     rng_state: u64,
-    /// Scheduler event recorder (present only when the machine traces).
+    /// Scheduler event recorder (present only for traced loops).
     recorder: Option<Recorder>,
+    /// Per-chunk execution records (present only for traced loops).
+    trace: Option<Vec<TaskRecord>>,
 }
 
 impl LaneRun {
     /// Whether the lane is past its lead and still has chunks in flight.
     fn executing(&self) -> bool {
         self.lead_remaining_ns <= 0.0 && self.barrier_remaining_ns.is_none()
-    }
-}
-
-impl Crews for [LaneRun] {
-    fn each(&mut self, mut f: impl FnMut(&mut Worker)) {
-        for run in self {
-            run.workers.iter_mut().for_each(&mut f);
-        }
-    }
-}
-
-/// Cores shared by the lanes' running chunks, on nodes the fault plan may
-/// slow down.
-struct Timeshare<'a> {
-    core_load: &'a [usize],
-    node_slowdown: &'a [f64],
-}
-
-impl Pricing for Timeshare<'_> {
-    fn occupancy(&self, core: usize) -> f64 {
-        self.core_load[core].max(1) as f64
-    }
-
-    fn slowdown(&self, node: usize) -> f64 {
-        self.node_slowdown[node]
     }
 }
 
@@ -144,10 +134,17 @@ pub struct ColoMachine {
     /// The loops in flight, sorted by lane id.
     runs: Vec<LaneRun>,
     field: CongestionField,
-    /// Scratch: number of running chunks per core, across all lanes.
+    /// Running chunks per core, across all lanes; kept up to date as chunks
+    /// start and end.
     core_load: Vec<usize>,
+    /// Whether a chunk started or ended on a core another chunk runs on, so
+    /// that chunk's occupancy must be pushed again.
+    occupancy_moved: bool,
     /// Per-node chunk-duration multiplier of the fault plan (1 = healthy).
     node_slowdown: Vec<f64>,
+    /// Per-node speed factor: an outlier window's during a solo invocation
+    /// whose draw hit the node, else 1.
+    node_speed: Vec<f64>,
     finished: VecDeque<(usize, LoopOutcome)>,
     /// Whether loops started from now on record scheduler events.
     tracing: bool,
@@ -179,16 +176,19 @@ impl ColoMachine {
             runs: Vec::new(),
             field: CongestionField::new(num_nodes, num_sockets),
             core_load: vec![0; num_cores],
+            occupancy_moved: false,
             node_slowdown: vec![1.0; num_nodes],
+            node_speed: vec![1.0; num_nodes],
             finished: VecDeque::new(),
             tracing: false,
             faults: None,
         }
     }
 
-    /// Enables (or disables) scheduler event tracing for loops started from
-    /// now on; completed traced loops report their log in
-    /// [`LoopOutcome::events`]. Loops already in flight are unaffected.
+    /// Enables (or disables) tracing for loops started from now on:
+    /// completed traced loops report their scheduler event log in
+    /// [`LoopOutcome::events`] and their per-chunk records in
+    /// [`LoopOutcome::trace`]. Loops already in flight are unaffected.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
     }
@@ -213,6 +213,7 @@ impl ColoMachine {
             *slow = plan.node_slowdown(node as u32);
         }
         self.faults = Some(plan);
+        self.push_inputs();
     }
 
     /// The fault plan applied to newly started loops, if any.
@@ -233,6 +234,12 @@ impl ColoMachine {
     /// Global simulated clock, ns.
     pub fn now_ns(&self) -> f64 {
         self.now_ns
+    }
+
+    /// The per-core frequency factors drawn for this machine (1.0 =
+    /// nominal).
+    pub(crate) fn core_freqs(&self) -> &[f64] {
+        &self.freqs
     }
 
     /// Registers a new (idle) lane and returns its id. An idle lane costs
@@ -282,6 +289,50 @@ impl ColoMachine {
         tasks: Vec<TaskSpec>,
         lead_ns: f64,
     ) {
+        self.launch(lane, active, plan, tasks, lead_ns, self.tracing);
+    }
+
+    /// Runs one invocation on `lane` of an otherwise idle machine, the way
+    /// [`SimMachine`](crate::SimMachine) executes its loops: the clock
+    /// restarts at 0, so the makespan, the chunk records and the event
+    /// timestamps are local to the invocation, and the invocation first
+    /// draws whether an outlier window slows one node for its duration.
+    pub(crate) fn run_solo(
+        &mut self,
+        lane: usize,
+        active: &CpuSet,
+        plan: &PlacementPlan,
+        tasks: &[TaskSpec],
+        traced: bool,
+    ) -> LoopOutcome {
+        assert!(!self.any_busy(), "a solo invocation needs an idle machine");
+        let num_nodes = self.params.topology.num_nodes();
+        let outlier = self.params.noise.draw_outlier(&mut self.rng, num_nodes);
+        if let Some(node) = outlier {
+            self.node_speed[node] = self.params.noise.outlier_factor;
+        }
+        self.now_ns = 0.0;
+        self.launch(lane, active, plan, tasks.to_vec(), 0.0, traced);
+        let (_, outcome) = self
+            .run_until_next_completion()
+            .expect("the solo loop is in flight");
+        if let Some(node) = outlier {
+            self.node_speed[node] = 1.0;
+        }
+        outcome
+    }
+
+    /// Builds `lane`'s loop and puts it in flight; `traced` decides whether
+    /// it records its scheduler events and chunk records.
+    fn launch(
+        &mut self,
+        lane: usize,
+        active: &CpuSet,
+        plan: &PlacementPlan,
+        tasks: Vec<TaskSpec>,
+        lead_ns: f64,
+        traced: bool,
+    ) {
         let Err(at) = self.slot(lane) else {
             panic!("lane {lane} already has a loop in flight");
         };
@@ -292,7 +343,7 @@ impl ColoMachine {
         let topo = &self.params.topology;
         let (mut workers, node_worker_count) = make_workers(topo, active);
         let perm_seed: u64 = rand::Rng::random(&mut self.rng);
-        let mut recorder = self.tracing.then(Recorder::new);
+        let mut recorder = traced.then(Recorder::new);
         let pools = PoolSet::build(
             plan,
             tasks.len(),
@@ -304,6 +355,7 @@ impl ColoMachine {
             self.now_ns,
         );
         let dispatch = pools.dispatch_ns(&self.params, tasks.len());
+        let mut stalls = false;
         if let Some(plan) = &self.faults {
             // Stalls are anchored to the moment workers would first acquire
             // work: submission plus the serial lead plus dispatch.
@@ -311,11 +363,13 @@ impl ColoMachine {
             for (i, w) in workers.iter_mut().enumerate() {
                 if let Some(stall) = plan.stall_of(i as u32) {
                     w.stall_until_ns = exec_start + stall.delay_ns as f64;
+                    stalls = true;
                 }
             }
         }
         let run = LaneRun {
             lane,
+            trace: traced.then(|| Vec::with_capacity(tasks.len())),
             tasks,
             pools,
             workers,
@@ -323,6 +377,7 @@ impl ColoMachine {
             started_ns: self.now_ns,
             lead_remaining_ns: lead_ns + dispatch,
             barrier_remaining_ns: None,
+            stalls,
             overhead_ns: dispatch,
             nodes_out: vec![NodeOutcome::default(); topo.num_nodes()],
             migrations: 0,
@@ -373,16 +428,17 @@ impl ColoMachine {
                 if !lane.executing() {
                     continue;
                 }
+                let mut parked = false;
                 loop {
-                    let mut any = false;
+                    let mut woke = false;
                     for i in 0..lane.workers.len() {
-                        if lane.workers[i].stall_until_ns > self.now_ns + EPS {
+                        if lane.stalls && lane.workers[i].stall_until_ns > self.now_ns + EPS {
                             // Stalled: sits out of the acquire loop; the
                             // event scan below bounds dt by the expiry.
                             continue;
                         }
                         if matches!(lane.workers[i].state, WorkerState::Idle) {
-                            seek(
+                            woke |= seek(
                                 &mut lane.pools,
                                 &mut lane.workers,
                                 i,
@@ -394,19 +450,23 @@ impl ColoMachine {
                                 &mut lane.migrations,
                                 lane.recorder.as_mut(),
                             );
-                            any = true;
+                            parked |= matches!(lane.workers[i].state, WorkerState::Parked { .. });
                         }
                     }
-                    if !any {
+                    // Every idle worker has now acquired work or parked,
+                    // unless a batch steal woke parked peers.
+                    if !woke {
                         break;
                     }
                 }
                 // Every worker parked ⇒ the lane's work phase is over: close
-                // the idle tails and enter the barrier.
-                if lane
-                    .workers
-                    .iter()
-                    .all(|w| matches!(w.state, WorkerState::Parked { .. }))
+                // the idle tails and enter the barrier. Only a seek parks a
+                // worker, so only a lane where one just parked can get there.
+                if parked
+                    && lane
+                        .workers
+                        .iter()
+                        .all(|w| matches!(w.state, WorkerState::Parked { .. }))
                 {
                     assert!(
                         lane.pools.is_empty(),
@@ -439,8 +499,13 @@ impl ColoMachine {
             // earliest of a scheduling action finishing or a chunk
             // completing, a lead, barrier or stall expiring, and the
             // caller's deadline.
-            let mut dt = (t_end - self.now_ns).min(self.refresh_rates());
-            for lane in &self.runs {
+            #[cfg(debug_assertions)]
+            self.check_pushed_inputs();
+            let runs = self.runs.iter().map(|run| &run.workers[..]);
+            self.field.aggregate(&self.params, runs);
+            let mut dt = f64::INFINITY;
+            for lane in &mut self.runs {
+                dt = dt.min(self.field.reprice(&mut lane.workers));
                 if lane.lead_remaining_ns > 0.0 {
                     dt = dt.min(lane.lead_remaining_ns);
                     continue;
@@ -449,20 +514,24 @@ impl ColoMachine {
                     dt = dt.min(b);
                     continue;
                 }
-                for w in &lane.workers {
-                    if w.stall_until_ns > self.now_ns + EPS {
-                        dt = dt.min(w.stall_until_ns - self.now_ns);
+                if lane.stalls {
+                    for w in &lane.workers {
+                        if w.stall_until_ns > self.now_ns + EPS {
+                            dt = dt.min(w.stall_until_ns - self.now_ns);
+                        }
                     }
                 }
             }
+            let to_deadline = t_end - self.now_ns;
+            if to_deadline <= 0.0 {
+                // Deadline already reached.
+                return None;
+            }
+            let dt = dt.min(to_deadline);
             assert!(
                 dt.is_finite(),
                 "colocation machine has busy lanes but no next event"
             );
-            if dt <= 0.0 {
-                // Deadline already reached.
-                return None;
-            }
 
             self.advance(dt);
 
@@ -472,27 +541,43 @@ impl ColoMachine {
         }
     }
 
-    /// Recomputes core occupancy, then refreshes the shared congestion field
-    /// and the rates of every lane's running chunks. Returns the smallest
-    /// time-to-completion over all busy workers.
-    fn refresh_rates(&mut self) -> f64 {
-        self.core_load.iter_mut().for_each(|c| *c = 0);
-        for lane in &self.runs {
-            if lane.lead_remaining_ns > 0.0 {
-                continue;
-            }
-            for w in &lane.workers {
-                if matches!(w.state, WorkerState::Running { .. }) {
-                    self.core_load[w.core.index()] += 1;
-                }
+    /// Pushes every running chunk's machine-side inputs (its core's
+    /// occupancy, its node's slowdown and speed) into its flow; a chunk whose
+    /// inputs changed is repriced at the next event.
+    fn push_inputs(&mut self) {
+        for w in self.runs.iter_mut().flat_map(|run| &mut run.workers) {
+            if matches!(w.state, WorkerState::Running { .. }) {
+                w.flow.set_inputs(
+                    self.core_load[w.core.index()],
+                    self.node_slowdown[w.node],
+                    self.node_speed[w.node],
+                );
             }
         }
-        let pricing = Timeshare {
-            core_load: &self.core_load,
-            node_slowdown: &self.node_slowdown,
-        };
-        self.field
-            .refresh(&self.params, &mut self.runs[..], &pricing)
+    }
+
+    /// Debug builds: every running chunk is priced at its core's current
+    /// occupancy and its node's current slowdown and speed, as counted
+    /// afresh, so a missed push cannot hide behind the dirty-set refresh.
+    #[cfg(debug_assertions)]
+    fn check_pushed_inputs(&self) {
+        let mut load = vec![0usize; self.core_load.len()];
+        for w in self.runs.iter().flat_map(|run| &run.workers) {
+            if matches!(w.state, WorkerState::Running { .. }) {
+                load[w.core.index()] += 1;
+            }
+        }
+        assert_eq!(load, self.core_load, "running-chunk count per core");
+        for w in self.runs.iter().flat_map(|run| &run.workers) {
+            if matches!(w.state, WorkerState::Running { .. }) {
+                let expect = (
+                    load[w.core.index()] as f64,
+                    self.node_slowdown[w.node],
+                    self.node_speed[w.node],
+                );
+                assert_eq!(w.flow.inputs(), expect, "stale pushed pricing input");
+            }
+        }
     }
 
     /// Advances simulated time by `dt`, completing whatever finishes.
@@ -500,6 +585,7 @@ impl ColoMachine {
     /// lane order.
     fn advance(&mut self, dt: f64) {
         self.now_ns += dt;
+        let now = self.now_ns;
         let core_bw = self.params.core_bw;
         for lane in &mut self.runs {
             if lane.lead_remaining_ns > 0.0 {
@@ -514,6 +600,7 @@ impl ColoMachine {
                 continue;
             }
             for w in &mut lane.workers {
+                let c = w.core.index();
                 match &mut w.state {
                     WorkerState::Overhead { remaining_ns, next } => {
                         *remaining_ns -= dt;
@@ -521,14 +608,20 @@ impl ColoMachine {
                             let t = *next;
                             if let Some(recorder) = &mut lane.recorder {
                                 recorder.push(
-                                    w.core.index() as u32,
+                                    c as u32,
                                     w.node as u32,
-                                    self.now_ns as u64,
+                                    now as u64,
                                     EventKind::ChunkStart { chunk: t as u32 },
                                 );
                             }
-                            let freq = self.freqs[w.core.index()];
-                            begin_chunk(w, &self.params, freq, t, &lane.tasks[t]);
+                            begin_chunk(w, &self.params, self.freqs[c], t, &lane.tasks[t]);
+                            self.core_load[c] += 1;
+                            self.occupancy_moved |= self.core_load[c] > 1;
+                            w.flow.set_inputs(
+                                self.core_load[c],
+                                self.node_slowdown[w.node],
+                                self.node_speed[w.node],
+                            );
                         }
                     }
                     WorkerState::Running {
@@ -536,17 +629,24 @@ impl ColoMachine {
                         remaining,
                         rate,
                         elapsed_ns,
-                        ..
                     } => {
                         *remaining -= *rate * dt;
                         *elapsed_ns += dt;
                         if *remaining <= EPS {
                             let spec = &lane.tasks[*task];
+                            if let Some(trace) = &mut lane.trace {
+                                trace.push(TaskRecord {
+                                    task: *task,
+                                    core: w.core,
+                                    start_ns: now - *elapsed_ns,
+                                    end_ns: now,
+                                });
+                            }
                             if let Some(recorder) = &mut lane.recorder {
                                 recorder.push(
-                                    w.core.index() as u32,
+                                    c as u32,
                                     w.node as u32,
-                                    self.now_ns as u64,
+                                    now as u64,
                                     EventKind::ChunkEnd {
                                         chunk: *task as u32,
                                     },
@@ -561,11 +661,19 @@ impl ColoMachine {
                                 node.local_tasks += 1;
                             }
                             w.state = WorkerState::Idle;
+                            self.core_load[c] -= 1;
+                            self.occupancy_moved |= self.core_load[c] > 0;
                         }
                     }
                     _ => {}
                 }
             }
+        }
+        if self.occupancy_moved {
+            // Some core's other running chunks now share it with a
+            // different number of chunks.
+            self.occupancy_moved = false;
+            self.push_inputs();
         }
         let num_cores = self.params.topology.num_cores();
         let done = |run: &mut LaneRun| run.barrier_remaining_ns.is_some_and(|b| b <= EPS);
@@ -579,7 +687,7 @@ impl ColoMachine {
                     nodes: run.nodes_out,
                     migrations: run.migrations,
                     threads: run.workers.len(),
-                    trace: Vec::new(),
+                    trace: run.trace.unwrap_or_default(),
                     events: run
                         .recorder
                         .map(|r| r.into_log(num_cores, num_nodes))
@@ -652,9 +760,10 @@ mod tests {
 
     #[test]
     fn single_lane_matches_single_loop_engine() {
-        // With one lane, no lead and no noise, the colocation engine must
-        // reproduce the single-loop engine's result (same state machine,
-        // same cost model; hierarchical plans are seed-independent).
+        // With one lane, no lead and no noise, a loop started on the
+        // colocation machine must reproduce the single-application
+        // machine's result bit for bit (one event loop; hierarchical plans
+        // are seed-independent, and `start_loop` draws no outlier).
         let topo = presets::tiny_2x4();
         let tasks = both_home_tasks(32, 2);
         let plan = split_plan(32, 2);
@@ -670,13 +779,17 @@ mod tests {
             .run_until_next_completion()
             .expect("one loop in flight");
         assert_eq!(done, lane);
-        assert!(
-            (out.makespan_ns - reference.makespan_ns).abs() < 1e-6,
-            "colo {} vs engine {}",
+        assert_eq!(
+            out.makespan_ns.to_bits(),
+            reference.makespan_ns.to_bits(),
+            "colo {} vs sim {}",
             out.makespan_ns,
             reference.makespan_ns
         );
-        assert!((out.sched_overhead_ns - reference.sched_overhead_ns).abs() < 1e-6);
+        assert_eq!(
+            out.sched_overhead_ns.to_bits(),
+            reference.sched_overhead_ns.to_bits()
+        );
         assert_eq!(out.tasks_executed(), reference.tasks_executed());
         assert_eq!(out.migrations, reference.migrations);
         assert!(!colo.any_busy());

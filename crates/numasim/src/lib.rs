@@ -1,8 +1,8 @@
 //! A deterministic simulator of a NUMA machine for scheduler research.
 //!
-//! The ILAN paper evaluates on a 64-core AMD EPYC 9354 node. This environment
-//! has one core and one NUMA node, so the repository substitutes a *fluid-rate
-//! discrete-event simulation* of that machine: tasks progress at rates derived
+//! The ILAN paper evaluates on a 64-core AMD EPYC 9354 node. The hosts this
+//! repository is developed on have a couple of cores and one NUMA node, so it
+//! substitutes a *fluid-rate discrete-event simulation* of that machine: tasks progress at rates derived
 //! from a roofline-style cost model, and the rates are recomputed whenever the
 //! machine state changes (a task starts or finishes, a noise window opens).
 //!
@@ -34,6 +34,10 @@
 //! the makespan, per-node performance, and accumulated scheduling overhead.
 //! Scheduling *policy* (which plan, how many threads) lives in the `ilan`
 //! crate — this crate is purely the machine.
+//!
+//! There is one event loop, [`ColoMachine`], which runs several tenants'
+//! loops concurrently on one machine; [`SimMachine`] runs its invocations
+//! one at a time on a single lane of it.
 //!
 //! # Example
 //!
@@ -67,7 +71,6 @@
 #![warn(missing_docs)]
 
 mod colo;
-mod engine;
 mod exec;
 mod machine;
 pub mod metrics;

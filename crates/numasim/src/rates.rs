@@ -1,6 +1,6 @@
 //! The shared cost model: traffic shaping, congestion and chunk rates.
 //!
-//! Every engine in this crate prices a running chunk the same way:
+//! The simulator prices a running chunk in three steps:
 //!
 //! 1. when the chunk starts, its DRAM traffic is split into per-node
 //!    [`FlowRow`]s from the task's [`Locality`](crate::Locality), and
@@ -13,19 +13,26 @@
 //! 3. each chunk's memory time is inflated by the field's congestion
 //!    factors along its traffic rows.
 //!
-//! Steps 2 and 3 are one routine, [`CongestionField::refresh`], called by
-//! both the single-loop engine and the multi-lane colocation engine. They
-//! therefore share one interference channel by construction — a chunk slows
-//! down identically whether its competitor belongs to the same taskloop or
-//! to another tenant's.
+//! Steps 2 and 3 run on every event of the one event loop
+//! ([`ColoMachine`](crate::ColoMachine)): [`CongestionField::aggregate`]
+//! over the workers of every loop in flight, then
+//! [`CongestionField::reprice`] over each loop's workers. A chunk therefore
+//! slows down identically whether its competitor belongs to the same
+//! taskloop or to another tenant's.
 //!
 //! The refresh is a *dirty-set* update. Demand is re-aggregated in worker
 //! order on every event, so each floating-point sum is formed exactly as a
 //! full recomputation would form it. But a chunk's rate is recomputed only
-//! if the chunk is fresh, its own pricing inputs (core occupancy, node
-//! slowdown) changed, or one of the congestion factors its rows read changed
-//! bit for bit. Every other chunk would recompute the same bits, so it keeps
-//! its rate; debug builds recompute it anyway and assert exactly that.
+//! if the chunk is fresh or one of the congestion factors its rows read
+//! changed bit for bit. Every other chunk would recompute the same bits, so
+//! it keeps its rate; debug builds recompute it anyway and assert exactly
+//! that.
+//!
+//! The inputs of a chunk's duration that come from the machine rather than
+//! from the field (its core's occupancy, its node's slowdown and speed) are
+//! pushed into its [`Flow`] by the machine when they change
+//! ([`Flow::set_inputs`], which marks the chunk fresh), so a refresh reads
+//! no per-chunk lookup.
 
 use crate::exec::{Worker, WorkerState};
 use crate::params::MachineParams;
@@ -72,11 +79,21 @@ pub(crate) struct Flow {
     node_reads: u64,
     /// Links the rows read, one bit per link index (mod 64).
     link_reads: u64,
-    /// Whether the chunk still needs its first rate.
+    /// Whether the chunk needs repricing: it is new, or a pushed input
+    /// changed since its rate was set.
     fresh: bool,
-    /// Occupancy and slowdown the current rate was priced at.
+    /// Running chunks on the chunk's core (at least 1). A chunk on a core
+    /// with occupancy `n` timeshares it: it progresses at `1/n` of its rate
+    /// and issues `1/n` of its traffic.
     occupancy: f64,
+    /// `1 / occupancy`, the share of its traffic the chunk issues.
+    inv_occupancy: f64,
+    /// Multiplier stretching the chunk's duration (a slow node under fault
+    /// injection; 1 = healthy).
     slowdown: f64,
+    /// Speed factor dividing the chunk's duration (an outlier window on its
+    /// node; 1 = nominal).
+    speed: f64,
 }
 
 /// The bit standing for resource `index` in a 64-bit read set. Indices are
@@ -99,8 +116,31 @@ impl Flow {
             link_reads: 0,
             fresh: true,
             occupancy: 1.0,
+            inv_occupancy: 1.0,
             slowdown: 1.0,
+            speed: 1.0,
         }
+    }
+
+    /// Pushes the chunk's machine-side inputs: `running` chunks on its core,
+    /// its node's `slowdown` and `speed`. Marks the chunk fresh if any of
+    /// them changed.
+    pub(crate) fn set_inputs(&mut self, running: usize, slowdown: f64, speed: f64) {
+        let occupancy = running.max(1) as f64;
+        if occupancy != self.occupancy || slowdown != self.slowdown || speed != self.speed {
+            self.occupancy = occupancy;
+            self.inv_occupancy = 1.0 / occupancy;
+            self.slowdown = slowdown;
+            self.speed = speed;
+            self.fresh = true;
+        }
+    }
+
+    /// The machine-side inputs the chunk is priced at, as
+    /// [`set_inputs`](Self::set_inputs) took them.
+    #[cfg(debug_assertions)]
+    pub(crate) fn inputs(&self) -> (f64, f64, f64) {
+        (self.occupancy, self.slowdown, self.speed)
     }
 
     /// Loads chunk `spec`, about to execute on `exec_node` with a core at
@@ -167,49 +207,12 @@ fn desired_bandwidth(spec: &TaskSpec, exec_node: NodeId, core_bw: f64) -> f64 {
     }
 }
 
-/// The worker sets one refresh prices, visited in a fixed order: a single
-/// loop's workers, or every in-flight lane's workers in lane order.
-pub(crate) trait Crews {
-    /// Calls `f` on every worker, always in the same order.
-    fn each(&mut self, f: impl FnMut(&mut Worker));
-}
-
-impl Crews for [Worker] {
-    fn each(&mut self, f: impl FnMut(&mut Worker)) {
-        self.iter_mut().for_each(f);
-    }
-}
-
-/// Per-worker inputs of a chunk's duration that come from the engine rather
-/// than from the congestion field. The defaults describe a healthy machine
-/// with dedicated cores.
-pub(crate) trait Pricing {
-    /// Running chunks on `core`. A chunk on a core with occupancy `n`
-    /// timeshares it: it progresses at `1/n` of its rate and issues `1/n` of
-    /// its traffic.
-    fn occupancy(&self, _core: usize) -> f64 {
-        1.0
-    }
-
-    /// Multiplier stretching every chunk executing on `node` (slow nodes
-    /// under fault injection).
-    fn slowdown(&self, _node: usize) -> f64 {
-        1.0
-    }
-
-    /// Speed factor dividing the duration of every chunk executing on
-    /// `node` (an outlier window).
-    fn speed(&self, _node: usize) -> f64 {
-        1.0
-    }
-}
-
 /// Aggregated bandwidth demand and the congestion factors derived from it.
 ///
-/// Usage per event: [`refresh`](Self::refresh) with every running chunk on
-/// the machine (across *all* loops sharing it). It re-aggregates demand,
-/// finalizes the factors, reprices the chunks whose inputs changed and
-/// returns the time to the next chunk or scheduling-action completion.
+/// Usage per event: [`aggregate`](Self::aggregate) every running chunk on
+/// the machine (across *all* loops sharing it, always in the same order),
+/// then [`reprice`](Self::reprice) each loop's workers, which yields the
+/// time to the next chunk or scheduling-action completion.
 pub(crate) struct CongestionField {
     /// Per-node DRAM demand, bytes/ns.
     demand: Vec<f64>,
@@ -242,52 +245,49 @@ impl CongestionField {
         }
     }
 
-    /// Re-aggregates demand over every running chunk of `crews`, updates
-    /// the congestion factors, reprices the chunks whose inputs changed, and
-    /// returns the smallest time to completion over the busy workers
-    /// (`remaining / rate` of running chunks, the remaining time of
-    /// scheduling actions; infinite if none is busy).
-    pub(crate) fn refresh<C: Crews + ?Sized>(
+    /// Re-aggregates demand over every running chunk of `crews`, visited
+    /// in order, and updates the congestion factors.
+    pub(crate) fn aggregate<'a>(
         &mut self,
         params: &MachineParams,
-        crews: &mut C,
-        pricing: &impl Pricing,
-    ) -> f64 {
+        crews: impl IntoIterator<Item = &'a [Worker]>,
+    ) {
         self.demand.iter_mut().for_each(|d| *d = 0.0);
         self.link_demand.iter_mut().for_each(|d| *d = 0.0);
         self.streams.iter_mut().for_each(|d| *d = 0.0);
-        crews.each(|w| {
-            if matches!(w.state, WorkerState::Running { .. }) {
-                self.add(&w.flow, 1.0 / pricing.occupancy(w.core.index()));
+        for workers in crews {
+            for w in workers {
+                if matches!(w.state, WorkerState::Running { .. }) {
+                    self.add(&w.flow);
+                }
             }
-        });
+        }
         self.finalize(params);
+    }
 
+    /// Reprices the running chunks of `workers` that are fresh or read a
+    /// factor the last [`aggregate`](Self::aggregate) changed, and returns
+    /// the smallest time to completion over the busy workers (`remaining /
+    /// rate` of running chunks, the remaining time of scheduling actions;
+    /// infinite if none is busy).
+    pub(crate) fn reprice(&self, workers: &mut [Worker]) -> f64 {
         let mut dt = f64::INFINITY;
-        crews.each(|w| {
-            let (core, node) = (w.core.index(), w.node);
+        for w in workers {
             let t = match &mut w.state {
                 WorkerState::Overhead { remaining_ns, .. } => *remaining_ns,
                 WorkerState::Running {
                     remaining, rate, ..
                 } => {
-                    let occupancy = pricing.occupancy(core);
-                    let slowdown = pricing.slowdown(node);
-                    let speed = pricing.speed(node);
                     let flow = &mut w.flow;
                     if flow.fresh
-                        || flow.occupancy != occupancy
-                        || flow.slowdown != slowdown
                         || flow.node_reads & self.changed_nodes != 0
                         || flow.link_reads & self.changed_links != 0
                     {
-                        *rate = self.rate(flow, occupancy, slowdown, speed);
+                        *rate = self.rate(flow);
                         flow.fresh = false;
-                        flow.occupancy = occupancy;
-                        flow.slowdown = slowdown;
                     } else {
                         debug_assert_eq!(
-                            self.rate(flow, occupancy, slowdown, speed).to_bits(),
+                            self.rate(flow).to_bits(),
                             rate.to_bits(),
                             "dirty-set refresh kept a stale rate"
                         );
@@ -301,14 +301,15 @@ impl CongestionField {
                 _ => f64::INFINITY,
             };
             dt = dt.min(t);
-        });
+        }
         dt
     }
 
-    /// Adds one running chunk's demand. `scale` discounts a chunk that holds
-    /// only part of a core (timeshared execution under oversubscription
-    /// issues proportionally less traffic); dedicated cores pass 1.0.
-    fn add(&mut self, flow: &Flow, scale: f64) {
+    /// Adds one running chunk's demand, discounted by its core share
+    /// (timeshared execution under oversubscription issues proportionally
+    /// less traffic; a dedicated core's share is 1).
+    fn add(&mut self, flow: &Flow) {
+        let scale = flow.inv_occupancy;
         self.streams[flow.stream_node] += flow.stream_weight * scale;
         for row in &flow.rows {
             let bw = row.bw * scale;
@@ -364,7 +365,7 @@ impl CongestionField {
     /// link's congestion. The duration is then stretched by the core's
     /// occupancy and the node's slowdown, and shrunk by an outlier window's
     /// speed factor.
-    fn rate(&self, flow: &Flow, occupancy: f64, slowdown: f64, speed: f64) -> f64 {
+    fn rate(&self, flow: &Flow) -> f64 {
         let mut penalty = 0.0;
         for row in &flow.rows {
             let mut c = self.node_cong[row.node as usize];
@@ -374,7 +375,8 @@ impl CongestionField {
             penalty += row.weight * c;
         }
         let duration =
-            (flow.compute_ns + flow.mem_ns * penalty.max(1.0)) * occupancy * slowdown / speed;
+            (flow.compute_ns + flow.mem_ns * penalty.max(1.0)) * flow.occupancy * flow.slowdown
+                / flow.speed;
         if duration > 0.0 {
             1.0 / duration
         } else {

@@ -1,6 +1,6 @@
-//! Bit-exact golden outcomes of both simulator engines.
+//! Bit-exact golden outcomes of the simulator.
 //!
-//! The fluid engines promise byte-identical figures across refactors of the
+//! The fluid simulator promises byte-identical figures across refactors of the
 //! rate machinery, so these tests pin the raw IEEE-754 bits of every float a
 //! run reports (`makespan_ns`, `sched_overhead_ns`, per-node `busy_ns`) for
 //! fixed seeds. A change that reorders a floating-point sum or reprices a
@@ -107,10 +107,51 @@ fn sim_lines(topo: &Topology, n: usize, seed: u64) -> Vec<String> {
             lines.push(line(&format!("{loc_name}/{plan_name}"), &out));
         }
     }
-    // The traced path prices chunks identically.
+    // The traced path prices chunks identically, and its chunk records and
+    // event log are pinned by hash.
     let out = m.run_taskloop_traced(&all, &plans[2].1, &tasks(n, nodes, Locality::Chunked));
-    lines.push(line("traced/hier-steal", &out));
+    lines.push(format!(
+        "{} trace={:016x} events={:016x}",
+        line("traced/hier-steal", &out),
+        trace_hash(&out),
+        events_hash(&out)
+    ));
     lines
+}
+
+/// FNV-1a over a stream of 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf29ce484222325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    })
+}
+
+/// Hash of the per-chunk records: task, core and the bits of both times.
+fn trace_hash(out: &LoopOutcome) -> u64 {
+    fnv(out.trace.iter().flat_map(|r| {
+        [
+            r.task as u64,
+            r.core.index() as u64,
+            r.start_ns.to_bits(),
+            r.end_ns.to_bits(),
+        ]
+    }))
+}
+
+/// Hash of the scheduler event log, every field of every event in order.
+fn events_hash(out: &LoopOutcome) -> u64 {
+    fnv(out.events.iter().flat_map(|e| {
+        let kind = format!("{:?}", e.kind);
+        [
+            e.seq,
+            e.worker as u64,
+            e.node as u64,
+            e.time_ns,
+            fnv(kind.bytes().map(u64::from)),
+        ]
+    }))
 }
 
 const TINY: &[&str] = &[
@@ -124,7 +165,7 @@ const TINY: &[&str] = &[
     "scattered/hier-steal makespan=411054745d560f9d overhead=41165583169846bf busy=412bcd5c1dd9b508,41291887cc32660d",
     "scattered/static makespan=411f78b6dcb37c70 overhead=41348c5938294ddd busy=413bd5faa5a8ec27,412cdf87b7297db2",
     "scattered/flat-partial makespan=411ccb80704b9148 overhead=40ecb0759f65a388 busy=413ba628c350642a,0000000000000000",
-    "traced/hier-steal makespan=4117f3dda7577a65 overhead=412e7bddcd455e18 busy=412c7d4ff0f1ac25,4131ca8e6f936fab",
+    "traced/hier-steal makespan=4117f3dda7577a65 overhead=412e7bddcd455e18 busy=412c7d4ff0f1ac25,4131ca8e6f936fab trace=c52b3b1ba3d1cd41 events=5479f840fe828aa8",
 ];
 
 const EPYC: &[&str] = &[
@@ -138,7 +179,7 @@ const EPYC: &[&str] = &[
     "scattered/hier-steal makespan=41214930bc416ffa overhead=41598c60f7951000 busy=4149d2884e28548e,414afd4ed1da7fae,414878cc0bfb8243,41493f9becaeeee0,414b5823baa70d0c,414a5cb578254558,414b8de5557752ca,414b55e633fbf50a",
     "scattered/static makespan=411425b7c5bcb58f overhead=414780b46e0313f1 busy=4141d57d1cc18cbe,4143ec683a37f50f,414348e1452928fa,413ddf2bf6eaef07,4141f42614e9db33,4140e3dd8645e192,413e90fc7da37227,413c628a9c9200c5",
     "scattered/flat-partial makespan=411c9edafc162963 overhead=41543f1254226cb7 busy=4143faedbbaf8e02,41451191ca732d53,4143fed374ac6f74,4144b417a2a1b83d,4145342186ddc719,41465daf218f45a0,414609052bf130cd,0000000000000000",
-    "traced/hier-steal makespan=4158d609751cd6aa overhead=418098976849643c busy=4186cc7917f216bb,41853770b148d949,41867860f8f7fdba,4186caa943160ed7,4186f50918402082,4186eff6f4600ac4,4186d1872d452e89,418734a2a16efaac",
+    "traced/hier-steal makespan=4158d609751cd6aa overhead=418098976849643c busy=4186cc7917f216bb,41853770b148d949,41867860f8f7fdba,4186caa943160ed7,4186f50918402082,4186eff6f4600ac4,4186d1872d452e89,418734a2a16efaac trace=c2c35802ba2cc608 events=2612ee47b7e98bf3",
 ];
 
 const COLO: &[&str] = &[

@@ -28,6 +28,13 @@
 //! 4. the dispatcher blocks on the exit latch before touching the arena
 //!    again (the latch decrement/`wait` pair is the closing AcqRel edge, so
 //!    workers may flush their statistics with relaxed stores).
+//!
+//! Re-entrancy: a body that calls a taskloop on its own pool runs that
+//! nested loop inline on the calling thread (serialized nested parallelism,
+//! as OpenMP allows). Worker threads, and the dispatcher while it holds the
+//! dispatch lock (its drain path runs bodies), carry a thread-local marker
+//! naming their pool; a marked caller never waits for the lock it, or the
+//! dispatcher it works for, already holds.
 
 use crate::chunk::{ChunkAssignment, Grain};
 use crate::latch::CountLatch;
@@ -42,12 +49,34 @@ use ilan_metrics::{FlightDump, FlightReason, ShardedCounter};
 use ilan_topology::{NodeId, NodeMask, Topology};
 use ilan_trace::{EventKind, EventLog, FaultTag, TraceSet, DISPATCHER};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// The pool this thread works for: its [`Shared`] address while the
+    /// thread is one of the pool's workers or holds its dispatch lock, else 0.
+    static IN_POOL: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Marks the current thread as inside a pool until dropped, then restores
+/// the previous mark (also on unwind).
+struct PoolMark(usize);
+
+impl PoolMark {
+    fn enter(shared: &Arc<Shared>) -> PoolMark {
+        PoolMark(IN_POOL.replace(Arc::as_ptr(shared) as usize))
+    }
+}
+
+impl Drop for PoolMark {
+    fn drop(&mut self) {
+        IN_POOL.set(self.0);
+    }
+}
 
 /// Inter-node steal policy of a hierarchical taskloop (paper §3.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -520,6 +549,7 @@ impl ThreadPool {
                     // ready latch orders it against the first post().
                     shared.slots[i].register(crate::sleep::thread_current());
                     ready.count_down();
+                    let _mark = PoolMark::enter(&shared);
                     worker_main(&shared, i, &deque);
                 })
                 .expect("failed to spawn worker thread");
@@ -712,16 +742,21 @@ impl ThreadPool {
         // Sequential inline fast path: a loop too small to amortize a
         // dispatch — or one that is a single chunk and therefore sequential
         // anyway — runs on the calling thread with no wakeups, no queue
-        // traffic and no trace-ring writes.
-        if !traced && (len <= self.inline_threshold || num_chunks <= 1) {
+        // traffic and no trace-ring writes. A loop nested in one of this
+        // pool's bodies always runs here: dispatching it would wait for the
+        // lock the enclosing loop holds. A nested traced loop observes no
+        // scheduler, so its log is empty.
+        let nested = IN_POOL.get() == Arc::as_ptr(&self.shared) as usize;
+        if nested || (!traced && (len <= self.inline_threshold || num_chunks <= 1)) {
             self.run_inline(range, grainsize, num_chunks, &mode, body, report);
             if let Some(m) = &self.shared.metrics {
                 m.loops_inline.inc();
             }
-            return None;
+            return traced.then(EventLog::default);
         }
 
         let _dispatch_guard = self.dispatch_lock.lock();
+        let _mark = PoolMark::enter(&self.shared);
         let dispatch_start = Instant::now();
         let shared = &*self.shared;
         let topo = &shared.topology;
@@ -2105,6 +2140,93 @@ mod tests {
         assert_eq!(report.migrations, 0);
         assert!((report.locality_fraction() - 1.0).abs() < 1e-12);
         assert_eq!(report.sched_overhead, Duration::ZERO);
+    }
+
+    /// Runs `f` on a helper thread and fails if it has not returned within
+    /// 20 s, so a re-entrancy deadlock fails the test instead of hanging it.
+    /// A panic on the helper is re-raised here.
+    fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(v) => {
+                helper.join().expect("the helper returned its result");
+                v
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("nested taskloop deadlocked: no return in 20 s")
+            }
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                helper
+                    .join()
+                    .expect_err("the helper drops its sender unsent only by panicking"),
+            ),
+        }
+    }
+
+    /// An outer loop over 64 iterations whose every chunk runs an inner
+    /// loop over 256 iterations on the same pool, both under `mode`.
+    /// Returns the iterations each level executed.
+    fn nested_counts(mode: fn(&ThreadPool) -> ExecMode) -> (usize, usize) {
+        within_deadline(move || {
+            let p = pool(presets::tiny_2x4());
+            let (outer, inner) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let report = p.taskloop(0..64, 4, mode(&p), |r| {
+                outer.fetch_add(r.len(), Ordering::Relaxed);
+                let nested = p.taskloop(0..256, 4, mode(&p), |r| {
+                    inner.fetch_add(r.len(), Ordering::Relaxed);
+                });
+                assert_eq!(nested.threads, 1, "a nested loop runs inline");
+                assert_eq!(nested.tasks_executed(), 64);
+            });
+            assert_eq!(report.tasks_executed(), 16);
+            (outer.into_inner(), inner.into_inner())
+        })
+    }
+
+    #[test]
+    fn nested_flat_taskloop_runs_inline() {
+        assert_eq!(nested_counts(|_| ExecMode::Flat), (64, 16 * 256));
+    }
+
+    #[test]
+    fn nested_hierarchical_taskloop_runs_inline() {
+        let mode = |p: &ThreadPool| ExecMode::Hierarchical {
+            mask: p.topology().all_nodes(),
+            threads: 0,
+            strict_fraction: 0.5,
+            policy: StealPolicy::Full,
+        };
+        assert_eq!(nested_counts(mode), (64, 16 * 256));
+    }
+
+    #[test]
+    fn nested_traced_taskloop_returns_empty_log() {
+        let (outer, inner_logs) = within_deadline(|| {
+            let p = pool(presets::tiny_2x4());
+            let empty = AtomicUsize::new(0);
+            let (report, log) = p.taskloop_traced(0..64, 4, ExecMode::Flat, |_| {
+                let (nested, log) = p.taskloop_traced(0..256, 4, ExecMode::Flat, |_| {});
+                assert_eq!(nested.threads, 1, "a nested traced loop runs inline");
+                if log.is_empty() {
+                    empty.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(report.tasks_executed(), 16);
+            (log, empty.into_inner())
+        });
+        assert_eq!(inner_logs, 16, "every nested traced loop logs nothing");
+        // The outer loop is still fully traced.
+        assert_eq!(
+            outer
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::ChunkEnd { .. }))
+                .count(),
+            16
+        );
     }
 
     #[test]
